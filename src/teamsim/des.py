@@ -41,8 +41,7 @@ EventRecord = tuple[float, str, int, int, str]
 
 # calendar event kinds
 _EV_ARRIVAL = 0
-_EV_SERVICE_END = 1
-_EV_INTERRUPT_TICK = 2
+_EV_SERVICE_END = 1  # ends a service segment, whatever its outcome
 
 # service segment outcomes decided at start-of-service
 _SEG_COMPLETE = 0
@@ -318,17 +317,24 @@ class DesStats:
         self.arrived_total += 1
 
     def note_completion(self, key: tuple[WorkType, Priority], days: float, queue_days: float, t: float) -> None:
-        self.completed[key] = self.completed.get(key, 0) + 1
+        # the per-class dicts all gain a key on its first completion
+        n_days = self.n_days
+        if key in self.completed:
+            self.completed[key] += 1
+            self.completion_samples[key].append(days)
+            self.queue_time_samples[key].append(queue_days)
+        else:
+            self.completed[key] = 1
+            self.completion_samples[key] = [days]
+            self.queue_time_samples[key] = [queue_days]
+            if n_days > 0:
+                self.daily_completion_sum[key] = [0.0] * n_days
+                self.daily_completion_count[key] = [0] * n_days
         self.completed_total += 1
-        self.completion_samples.setdefault(key, []).append(days)
-        self.queue_time_samples.setdefault(key, []).append(queue_days)
-        if self.n_days > 0:
+        if n_days > 0:
             d = int(t)
-            if d >= self.n_days:
-                d = self.n_days - 1
-            if key not in self.daily_completion_sum:
-                self.daily_completion_sum[key] = [0.0] * self.n_days
-                self.daily_completion_count[key] = [0] * self.n_days
+            if d >= n_days:
+                d = n_days - 1
             self.daily_completion_sum[key][d] += days
             self.daily_completion_count[key][d] += 1
 
@@ -552,7 +558,10 @@ class DesEngine:
             t = self.horizon
         last = self.last_t
         if t > last:
-            self.in_system_step(t, last)
+            dt = t - last
+            st = self.stats
+            st.in_system_integral += self.n_in_system * dt
+            st.busy_integral += self.n_busy * dt
             self.last_t = t
         d = self.next_sample_day
         while d <= t and d <= self.stats.n_days:
@@ -560,24 +569,16 @@ class DesEngine:
             d += 1
         self.next_sample_day = d
 
-    def in_system_step(self, t: float, last: float) -> None:
-        dt = t - last
-        self.stats.in_system_integral += self.n_in_system * dt
-        self.stats.busy_integral += self.n_busy * dt
-
     def _sample_day(self) -> None:
+        # per-priority counts are indexed by int(priority); a queue's length
+        # is the sum of its counts
         st = self.stats
-        team = self.team_queue
-        st.daily_team_queue.append(len(team))
-        ind_total = 0
-        for p in Priority:
-            n = team.count(p)
-            for srv in self.servers:
-                n += srv.queue.count(p)
-            st.daily_queue_by_priority[p].append(n)
-        for srv in self.servers:
-            ind_total += len(srv.queue)
-        st.daily_individual_queue.append(ind_total)
+        team = self.team_queue.counts()
+        own = [sum(col) for col in zip(*[srv.queue.counts() for srv in self.servers])]
+        st.daily_team_queue.append(sum(team))
+        st.daily_individual_queue.append(sum(own))
+        for p, series in st.daily_queue_by_priority.items():
+            series.append(team[p] + own[p])
 
     # -- event handlers --------------------------------------------------------
     def _admit(self, item: WorkItem, t: float, kind: str, eng_id: int, detail: str) -> None:
@@ -593,7 +594,8 @@ class DesEngine:
             t + sample_interarrival(gen.daily_rate, self.rng), _EV_ARRIVAL, gen_index, 0
         )
         item = gen.sample_item(t, self.rng, self._next_id())
-        self._admit(item, t, "arrival", -1, f"{item.work_type.value}:{item.priority.name}")
+        detail = f"{item.work_type.value}:{item.priority.name}" if self.log is not None else ""
+        self._admit(item, t, "arrival", -1, detail)
 
     def _on_service_end(self, t: float, server_index: int, epoch: int) -> None:
         srv = self.servers[server_index]
@@ -607,7 +609,6 @@ class DesEngine:
         cfg = self.cfg
         if seg == _SEG_COMPLETE:
             item.remaining_service_hours = 0.0
-            item.completion_time = t
             days = t - item.arrival_time
             self.stats.note_completion(
                 (item.work_type, item.priority), days, item.total_queue_days, t
@@ -681,6 +682,7 @@ class DesEngine:
     def _steal(self, srv: _Server, t: float) -> WorkItem | None:
         # pull the discipline-best compatible waiting item from a colleague
         best_srv = None
+        best_item = None
         best_key = None
         for other in self.servers_by_type[srv.engineer.skill.skill_type]:
             if other is srv:
@@ -692,22 +694,20 @@ class DesEngine:
             if best_key is None or k < best_key:
                 best_key = k
                 best_srv = other
+                best_item = cand
         if best_srv is None:
             return None
-        item = best_srv.queue.remove(best_srv.queue.peek().id, t)
+        item = best_srv.queue.remove(best_item.id, t)
         if self.log is not None:
             self.log.append((t, "dispatch", item.id, srv.engineer.id, "steal"))
         return item
 
     def _dispatch(self, t: float) -> None:
         team = self.team_queue
-        while True:
-            item = team.peek()
-            if item is None:
-                break
+        while len(team):
+            item = team.pop_best(t)
             cands = self.servers_by_type.get(item.required.skill_type)
             if not cands:
-                team.pop_best(t)
                 self._dead_letter(item, t)
                 continue
             is_project = item.work_type is WorkType.PROJECT_TASK
@@ -718,24 +718,26 @@ class DesEngine:
                 if best_key is None or k < best_key:
                     best_key = k
                     best = srv
-            team.pop_best(t)
             if self.log is not None:
                 self.log.append((t, "dispatch", item.id, best.engineer.id, "route"))
             best.queue.push(item, t)
             if best.item is not None and item.priority > best.item.priority:
                 self._preempt(best, t)
-        # work-conserving start loop: idle engineers pull own queue, then steal
-        progress = True
-        while progress:
-            progress = False
-            for srv in self.servers:
-                if srv.item is None:
-                    nxt = srv.queue.pop_best(t)
-                    if nxt is None:
-                        nxt = self._steal(srv, t)
-                    if nxt is not None:
-                        self._start_service(srv, nxt, t)
-                        progress = True
+        # work-conserving start pass: idle engineers pull their own queue, then
+        # steal.  One pass in index order is a fixpoint: nothing in it pushes
+        # (starting service and stealing only take items out of queues), so
+        # an engineer left idle found its own queue and every same-type
+        # colleague's queue empty, and they stay empty for the rest of the pass.
+        servers = self.servers
+        if self.n_busy == len(servers):
+            return
+        for srv in servers:
+            if srv.item is None:
+                nxt = srv.queue.pop_best(t)
+                if nxt is None:
+                    nxt = self._steal(srv, t)
+                if nxt is not None:
+                    self._start_service(srv, nxt, t)
 
     def _start_service(self, srv: _Server, item: WorkItem, t: float) -> None:
         eng = srv.engineer
@@ -764,12 +766,7 @@ class DesEngine:
         srv.gap_boost = gap_boost
         srv.epoch += 1
         self.n_busy += 1
-        self.calendar.push(
-            end,
-            _EV_SERVICE_END if seg_kind == _SEG_COMPLETE else _EV_INTERRUPT_TICK,
-            srv.index,
-            srv.epoch,
-        )
+        self.calendar.push(end, _EV_SERVICE_END, srv.index, srv.epoch)
         if self.log is not None:
             self.log.append((t, "start", item.id, eng.id, ""))
 
@@ -786,19 +783,20 @@ class DesEngine:
                 self.calendar.push(
                     sample_interarrival(gen.daily_rate, self.rng), _EV_ARRIVAL, gi, 0
                 )
+        pop = self.calendar.pop
+        horizon = self.horizon
         while True:
-            ev = self.calendar.pop()
+            ev = pop()
             if ev is None:
                 break
-            t = ev[0]
-            if t > self.horizon:
+            t, _, kind, a, b = ev
+            if t > horizon:
                 break
             self._advance(t)
-            kind = ev[2]
             if kind == _EV_ARRIVAL:
-                self._on_arrival(t, ev[3])
+                self._on_arrival(t, a)
             else:
-                self._on_service_end(t, ev[3], ev[4])
+                self._on_service_end(t, a, b)
             self._dispatch(t)
         self._advance(self.horizon)
         self._finalize()

@@ -2,9 +2,10 @@
 
 Work items carry a priority, a service demand, and a skill requirement;
 engineers carry a skill and an affinity for project or operational work.
-Queues order items by priority first, then arrival time, then id, and
-record every enter/leave episode so time-in-queue can be audited against
-the event log.
+Queues order items by priority first, then arrival time, then id.  Each
+item adds up the days it waits across every queue it passes through;
+entering a second queue before leaving the first, or leaving one it never
+entered, raises ``StructuralError``.
 
 Time is measured in days throughout; service demands are expressed in
 work-hours and converted by the engine via its hours-per-day setting.
@@ -41,6 +42,12 @@ class WorkType(Enum):
     SERVICE_REQUEST = "service_request"
     INCIDENT = "incident"
     REWORK_INCIDENT = "rework_incident"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and avoids Enum's Python-level __hash__ on
+    # every (work type, priority) dict lookup.  No output depends on hash
+    # order: every key set is sorted before it is reported.
+    __hash__ = object.__hash__
 
     @property
     def is_operational(self) -> bool:
@@ -93,9 +100,10 @@ class SkillSpec:
 class WorkItem:
     """One unit of demand flowing through the system.
 
-    ``service_demand_hours`` is the remaining work content; it shrinks as
-    service is delivered and grows by the switch penalty when service is
-    interrupted.  ``queue_episodes`` collects closed (enter, leave) pairs.
+    ``remaining_service_hours`` is the remaining work content; it shrinks
+    as service is delivered and grows by the switch penalty when service is
+    interrupted.  ``total_queue_days`` sums the lengths of the closed queue
+    episodes, left to right in the order they closed.
     """
 
     id: int
@@ -105,9 +113,8 @@ class WorkItem:
     service_demand_hours: float
     arrival_time: float
     remaining_service_hours: float = field(default=-1.0)
-    completion_time: float | None = None
     stop_count: int = 0
-    queue_episodes: list[tuple[float, float]] = field(default_factory=list)
+    total_queue_days: float = 0.0
     _queue_entered: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -132,12 +139,8 @@ class WorkItem:
             raise StructuralError(f"item {self.id} left a queue it never entered")
         if now < entered:
             raise StructuralError(f"item {self.id}: queue episode ends before it starts")
-        self.queue_episodes.append((entered, now))
+        self.total_queue_days += now - entered
         self._queue_entered = None
-
-    @property
-    def total_queue_days(self) -> float:
-        return sum(leave - enter for enter, leave in self.queue_episodes)
 
     @property
     def in_queue(self) -> bool:
@@ -167,7 +170,7 @@ class Engineer:
 
 def queue_key(item: WorkItem) -> tuple[int, float, int]:
     """Service discipline: highest priority first, then FIFO, then id."""
-    return (-int(item.priority), item.arrival_time, item.id)
+    return (-item.priority, item.arrival_time, item.id)
 
 
 class WorkQueue:
@@ -176,7 +179,8 @@ class WorkQueue:
     Duplicate pushes of the same item id raise ``StructuralError``; the heap
     never compares items directly because the key tuple ends with the unique
     id.  Per-priority live counts are maintained eagerly so daily sampling
-    stays cheap.
+    stays cheap.  Removed items stay in the heap as tombstones until they
+    reach the top; ``_removed`` holds their ids.
     """
 
     def __init__(self, name: str = "queue") -> None:
@@ -184,7 +188,7 @@ class WorkQueue:
         self._heap: list[tuple[tuple[int, float, int], WorkItem]] = []
         self._index: dict[int, WorkItem] = {}
         self._removed: set[int] = set()
-        self._counts: dict[Priority, int] = {p: 0 for p in Priority}
+        self._counts = [0] * (max(Priority) + 1)  # indexed by int(priority)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -194,6 +198,10 @@ class WorkQueue:
 
     def count(self, priority: Priority) -> int:
         return self._counts[priority]
+
+    def counts(self) -> list[int]:
+        """Live items per priority, indexed by ``int(priority)`` (a copy)."""
+        return self._counts.copy()
 
     def push(self, item: WorkItem, now: float) -> None:
         if item.id in self._index:
@@ -210,14 +218,17 @@ class WorkQueue:
             heapq.heappop(heap)
 
     def peek(self) -> WorkItem | None:
-        self._discard_tombstones()
-        return self._heap[0][1] if self._heap else None
+        if self._removed:
+            self._discard_tombstones()
+        heap = self._heap
+        return heap[0][1] if heap else None
 
     def pop_best(self, now: float) -> WorkItem | None:
-        self._discard_tombstones()
+        if self._removed:
+            self._discard_tombstones()
         if not self._heap:
             return None
-        _, item = heapq.heappop(self._heap)
+        item = heapq.heappop(self._heap)[1]
         del self._index[item.id]
         self._counts[item.priority] -= 1
         item.leave_queue(now)

@@ -172,9 +172,20 @@ def auxiliaries(state: SdState, params: SdParams) -> SdAux:
     )
 
 
-def _step(state: SdState, params: SdParams, dt: float) -> tuple[SdState, bool]:
-    """One Euler step.  Returns (new state, whether any outflow was clamped)."""
-    aux = auxiliaries(state, params)
+_STATE_FIELDS = tuple(f.name for f in fields(SdState))
+_AUX_FIELDS = tuple(f.name for f in fields(SdAux))
+
+
+def _step(
+    state: SdState, params: SdParams, dt: float, aux: SdAux | None = None
+) -> tuple[SdState, bool]:
+    """One Euler step.  Returns (new state, whether any outflow was clamped).
+
+    ``aux`` may pass in ``auxiliaries(state, params)`` when the caller has
+    already evaluated it.
+    """
+    if aux is None:
+        aux = auxiliaries(state, params)
     pb, wp = state.project_backlog, state.project_wip
     ob, wo = state.ops_backlog, state.ops_wip
     pool = state.rework_pool
@@ -264,9 +275,9 @@ class SdTrajectory:
         return self.states[-1]
 
     def column(self, name: str) -> list[float]:
-        if name in {f.name for f in fields(SdState)}:
+        if name in _STATE_FIELDS:
             return [getattr(s, name) for s in self.states]
-        if name in {f.name for f in fields(SdAux)}:
+        if name in _AUX_FIELDS:
             return [getattr(a, name) for a in self.aux]
         raise ConfigurationError(f"unknown trajectory column {name!r}")
 
@@ -276,14 +287,12 @@ class SdTrajectory:
 
 
 def _check_finite(state: SdState, aux: SdAux, t: float) -> None:
-    for f in fields(SdState):
-        v = getattr(state, f.name)
-        if not math.isfinite(v):
-            raise EngineError(f"non-finite value in stock {f.name!r} at t={t:.6f}")
-    for f in fields(SdAux):
-        v = getattr(aux, f.name)
-        if not math.isfinite(v):
-            raise EngineError(f"non-finite value in auxiliary {f.name!r} at t={t:.6f}")
+    for name in _STATE_FIELDS:
+        if not math.isfinite(getattr(state, name)):
+            raise EngineError(f"non-finite value in stock {name!r} at t={t:.6f}")
+    for name in _AUX_FIELDS:
+        if not math.isfinite(getattr(aux, name)):
+            raise EngineError(f"non-finite value in auxiliary {name!r} at t={t:.6f}")
 
 
 def run_sd(
@@ -304,14 +313,15 @@ def run_sd(
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     n_steps = math.ceil(horizon / dt - 1e-12)
     state = initial
-    aux0 = auxiliaries(state, params)
-    _check_finite(state, aux0, 0.0)
+    a = auxiliaries(state, params)
+    _check_finite(state, a, 0.0)
     times = [0.0]
     states = [state]
-    auxes = [aux0]
+    auxes = [a]
     clamp_events = 0
     for i in range(1, n_steps + 1):
-        state, clamped = _step(state, params, dt)
+        # a is auxiliaries(state): the step reuses the previous record's
+        state, clamped = _step(state, params, dt, a)
         if clamped:
             clamp_events += 1
         t = i * dt

@@ -48,3 +48,42 @@ def mm1_config(daily_rate: float = 0.8) -> DesConfig:
 
 def mmc_config(c: int, daily_rate: float) -> DesConfig:
     return single_class_config(n_engineers=c, daily_rate=daily_rate)
+
+
+def two_skill_config() -> DesConfig:
+    """Two skill types with level gaps, a type no engineer holds, and every
+    side effect switched on: skill stops, rework, switch penalties.
+
+    Run it with a positive ``interrupt_rate`` modifier to add management
+    interruptions.  P1 arrivals preempt running work, colleagues of one
+    skill type steal from each other, and the unheld ``ml`` type dead-letters.
+    """
+    engineers = [
+        Engineer(1, SkillSpec("core", 3), Affinity.PROJECT_PRIMARY),
+        Engineer(2, SkillSpec("core", 2), Affinity.OPERATIONAL_PRIMARY),
+        Engineer(3, SkillSpec("core", 1), Affinity.OPERATIONAL_PRIMARY),
+        Engineer(4, SkillSpec("data", 3), Affinity.OPERATIONAL_PRIMARY),
+        Engineer(5, SkillSpec("data", 1), Affinity.PROJECT_PRIMARY, capacity_factor=0.8),
+    ]
+    skill_mix = (
+        (SkillSpec("core", 3), 0.15),
+        (SkillSpec("core", 1), 0.35),
+        (SkillSpec("data", 2), 0.25),
+        (SkillSpec("data", 1), 0.20),
+        (SkillSpec("ml", 1), 0.05),
+    )
+    generators = [
+        GeneratorConfig(WorkType.PROJECT_TASK, 1.2, (0.1, 0.4, 0.5), (4.0, 8.0, 12.0), skill_mix),
+        GeneratorConfig(WorkType.SERVICE_REQUEST, 1.5, (0.1, 0.3, 0.6), (2.0, 4.0, 8.0), skill_mix),
+        GeneratorConfig(WorkType.INCIDENT, 1.5, (0.5, 0.3, 0.2), (1.5, 3.0, 5.0), skill_mix),
+    ]
+    return DesConfig(
+        generators=generators,
+        engineers=engineers,
+        base_error_prob=0.08,
+        skill_gap_error_boost=2.0,
+        p_stop_skill=0.3,
+        switch_penalty_hours=0.5,
+        rework_priority_mix=(0.3, 0.7, 0.0),
+        rework_service_mean_hours=3.0,
+    )

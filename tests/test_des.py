@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from teamsim.des import (
     DesConfig,
+    DesEngine,
     DesModifiers,
     EventCalendar,
     GeneratorConfig,
@@ -26,8 +27,9 @@ from teamsim.des import (
 )
 from teamsim.domain import Affinity, Engineer, Priority, SkillSpec, WorkItem, WorkType
 from teamsim.errors import ConfigurationError, StructuralError
+from teamsim.io.scenario import default_scenario
 
-from conftest import mm1_config, mmc_config, plain_engineers, single_class_config
+from conftest import mm1_config, mmc_config, plain_engineers, single_class_config, two_skill_config
 
 
 def make_initial(item_id, demand_hours, priority=Priority.P3, skill=SkillSpec("core", 1)):
@@ -383,6 +385,56 @@ class TestRunProperties:
         assert stats.n_days == 126
         assert len(stats.daily_team_queue) == 126
         assert len(stats.daily_queue_by_priority[Priority.P3]) == 126
+
+
+class CheckedEngine(DesEngine):
+    """Asserts after every dispatch that no engineer idles beside waiting work.
+
+    An idle engineer's own queue must be empty, and so must the queue of
+    every colleague of the same skill type (it could have stolen from
+    them).  This is what makes a single start pass in ``_dispatch`` enough.
+    """
+
+    dispatches = 0
+    idle_checks = 0
+
+    def _dispatch(self, t: float) -> None:
+        super()._dispatch(t)
+        self.dispatches += 1
+        for srv in self.servers:
+            if srv.item is not None:
+                continue
+            self.idle_checks += 1
+            for other in self.servers_by_type[srv.engineer.skill.skill_type]:
+                assert len(other.queue) == 0, (
+                    f"t={t}: engineer {srv.engineer.id} idles while engineer "
+                    f"{other.engineer.id} has {len(other.queue)} waiting"
+                )
+
+
+class TestWorkConservingDispatch:
+    def _run(self, cfg, modifiers, seed, horizon):
+        engine = CheckedEngine(cfg, modifiers, seed, horizon)
+        stats = engine.run()
+        assert engine.dispatches > 0 and engine.idle_checks > 0
+        # the subclass only observes: same output as the public entry point
+        ref, log = run_des(cfg, modifiers, seed=seed, horizon=horizon)
+        assert engine.log == log and stats.to_flat_dict() == ref.to_flat_dict()
+        return stats
+
+    def test_default_scenario(self):
+        sc = default_scenario()
+        stats = self._run(sc.des, DesModifiers.identity(), sc.seed, sc.horizon)
+        assert stats.preemption_count > 0 and stats.stop_skill > 0
+
+    def test_mmc4(self):
+        self._run(mmc_config(4, 3.2), DesModifiers.identity(), seed=4, horizon=500.0)
+
+    def test_two_skill_types_with_interrupts_and_preemption(self):
+        mods = DesModifiers(rework_multiplier=1.0, capacity_factor=0.9, interrupt_rate=0.6)
+        stats = self._run(two_skill_config(), mods, seed=11, horizon=300.0)
+        assert stats.stop_interrupt > 0 and stats.preemption_count > 0
+        assert stats.dead_letter_count > 0
 
 
 class TestMergeAndReplication:

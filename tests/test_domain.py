@@ -171,6 +171,25 @@ class TestWorkQueue:
         assert q.count(Priority.P3) == 2
         q.remove(3, now=0.0)
         assert q.count(Priority.P3) == 1
+        counts = q.counts()
+        assert counts[Priority.P1] == 1 and counts[Priority.P3] == 1
+        assert sum(counts) == len(q)
+        counts[Priority.P1] = 99  # a copy: the queue's own counts are untouched
+        assert q.count(Priority.P1) == 1
+
+    def test_removed_item_can_come_back(self):
+        q = WorkQueue()
+        item = make_item(1, Priority.P1)
+        q.push(item, now=0.0)
+        q.push(make_item(2, Priority.P3), now=0.0)
+        q.remove(1, now=1.0)
+        # back in while its tombstone still heads the heap
+        q.push(item, now=2.0)
+        assert q.peek() is item
+        assert q.pop_best(3.0) is item
+        assert q.pop_best(3.0).id == 2
+        assert q.pop_best(3.0) is None
+        assert item.total_queue_days == pytest.approx(2.0)
 
     def test_peek_does_not_remove(self):
         q = WorkQueue()
