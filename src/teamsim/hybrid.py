@@ -15,7 +15,7 @@ the scenario seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .des import DesModifiers, DesStats, EventRecord, run_des
 from .domain import Priority, WorkType
@@ -35,12 +35,7 @@ class FeedForward:
     preemption_rate: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "project_completion_rate": self.project_completion_rate,
-            "ops_completion_rate": self.ops_completion_rate,
-            "rework_generation_rate": self.rework_generation_rate,
-            "preemption_rate": self.preemption_rate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -54,13 +49,7 @@ class SdSummary:
     final_error_frac: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mean_fatigue": self.mean_fatigue,
-            "mean_mgmt_pressure": self.mean_mgmt_pressure,
-            "mean_stop_rate": self.mean_stop_rate,
-            "mean_error_frac": self.mean_error_frac,
-            "final_error_frac": self.final_error_frac,
-        }
+        return asdict(self)
 
 
 def summarize_trajectory(traj: SdTrajectory) -> SdSummary:

@@ -3,12 +3,14 @@
 Every emitter renders floats at six significant digits, sorts JSON keys,
 and writes newline-terminated text, so re-running the same result object
 yields byte-identical files.  CSV columns with no value render as empty
-fields.
+fields.  The CSV and event-log writers stream one line per record to the
+open file, so no joined copy of a whole file is built in memory.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,33 +52,39 @@ def write_json(obj, path: Path) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Stream a header line and one line per row; the header is always written."""
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-def write_event_log(log: Sequence[EventRecord], path: Path) -> None:
-    lines = [EVENT_LOG_HEADER]
-    lines.extend(format_event(rec) for rec in log)
-    path.write_text("\n".join(lines) + "\n")
+def write_event_log(log: Iterable[EventRecord], path: Path) -> None:
+    """Stream the CSV event log, one ``format_event`` line per record."""
+    with path.open("w") as f:
+        f.write(EVENT_LOG_HEADER + "\n")
+        f.writelines(format_event(rec) + "\n" for rec in log)
 
 
-def write_event_log_ndjson(log: Sequence[EventRecord], path: Path) -> None:
-    out = []
-    for t, kind, item_id, eng_id, detail in log:
-        out.append(
-            json.dumps(
-                {
-                    "time": float(f"{t:.6f}"),
-                    "event_kind": kind,
-                    "item_id": item_id,
-                    "engineer_id": eng_id,
-                    "detail": detail,
-                },
-                sort_keys=True,
-            )
-        )
-    path.write_text("\n".join(out) + ("\n" if out else ""))
+def format_event_ndjson(rec: EventRecord) -> str:
+    """One NDJSON line, equal to ``json.dumps`` of the record with ``sort_keys``.
+
+    The keys are fixed, so the line is an f-string in sorted-key order with
+    json's default separators; strings go through the same C escaper that
+    ``json.dumps`` uses, and ``time`` is rounded to 6 decimals.  Event times
+    are finite floats from the engine's clock: ``repr`` would render
+    ``nan``/``inf`` where json writes ``NaN``/``Infinity``.
+    """
+    t, kind, item_id, eng_id, detail = rec
+    return (
+        f'{{"detail": {_json_str(detail)}, "engineer_id": {eng_id}, '
+        f'"event_kind": {_json_str(kind)}, "item_id": {item_id}, "time": {round(t, 6)!r}}}'
+    )
+
+
+def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
+    """Stream one ``format_event_ndjson`` line per record; an empty log writes an empty file."""
+    with path.open("w") as f:
+        f.writelines(format_event_ndjson(rec) + "\n" for rec in log)
 
 
 def _check_format(fmt: str) -> None:
@@ -186,18 +194,10 @@ def emit_sd_report(traj: SdTrajectory, out_dir: Path, fmt: str = "json") -> list
 def _cycle_dict(rec) -> dict:
     return {
         "cycle": rec.index,
-        "modifiers_in": {
-            "rework_multiplier": rec.modifiers_in.rework_multiplier,
-            "capacity_factor": rec.modifiers_in.capacity_factor,
-            "interrupt_rate": rec.modifiers_in.interrupt_rate,
-        },
+        "modifiers_in": asdict(rec.modifiers_in),
         "feed_forward": rec.feed_forward.as_dict(),
         "sd_summary": rec.sd_summary.as_dict(),
-        "modifiers_out": {
-            "rework_multiplier": rec.modifiers_out.rework_multiplier,
-            "capacity_factor": rec.modifiers_out.capacity_factor,
-            "interrupt_rate": rec.modifiers_out.interrupt_rate,
-        },
+        "modifiers_out": asdict(rec.modifiers_out),
         "des": rec.des_stats.to_flat_dict(),
     }
 

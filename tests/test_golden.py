@@ -3,7 +3,9 @@
 The C8 acceptance check compares one run against another, so it cannot see
 a change that alters every run the same way.  These digests pin the exact
 bytes instead: event-log lines, summary floats at full ``repr`` precision,
-daily series, the SD trajectory and the hybrid ``cycles.json``.  A digest
+daily series, the SD trajectory, and the report files: the hybrid
+``cycles.json`` and per-cycle NDJSON event logs, and the ``des`` summary,
+queue series and CSV event logs of one and of two replications.  A digest
 may change only in a commit that says why the output changed.
 
 The digests were recorded on CPython 3.11 (x86-64, glibc).  Exact float
@@ -16,9 +18,9 @@ from dataclasses import astuple
 
 import pytest
 
-from teamsim.des import DesModifiers, format_event, run_des
+from teamsim.des import DesModifiers, format_event, run_des, run_des_replicated
 from teamsim.hybrid import run_hybrid
-from teamsim.io.report import emit_hybrid_report
+from teamsim.io.report import emit_des_report, emit_hybrid_report
 from teamsim.io.scenario import default_scenario
 from teamsim.sd import run_sd
 
@@ -28,8 +30,13 @@ GOLDEN = {
     "des-default": "572fba47da79ae45ebdc8b97b0385164c5490cfb560e0a434e2a1bd25fbf8e46",
     "des-mmc4": "b2701a199a8d234048ae02d811f92a26c17ad53ad91c38652a96612db0c476db",
     "des-two-skill": "ca14a5b962fb5c5cb0995b74b68d9ba59d462528d0a2eb020f2dfdb1d5df1416",
+    "des-report-single": "0e36a258e41a2f5cd2716984ca997270a2d935751b160523d58457f236738dbc",
+    "des-report-reps": "185b5b9fd764b6346e3358858535e3e32ed7d7ce7bc2c75a2b649b5ab3f1eae7",
+    "des-report-csv": "d11962c4a79d03217bb3d1fb06117642fd7b86e6b9f88b1c521f799bdb7a1d7c",
     "sd-default": "c4ebf22d113189d66600711e68d2ae32c91a9945891474d48fcb4b11c2f258b0",
     "hybrid-cycles-json": "9657988843a0d9af49d753738b0511d54efcba03e46e85471e199f8bb6d202e5",
+    "hybrid-eventlog-ndjson": "3c397de426f4ca14e05ddf4105ef193213051d22fc690f7adb7cb54b49ccddda",
+    "hybrid-diff-csv": "0d0deb6c91e3bf3676a486090b62e22ce8830003c2f9386ebacc14c4d686db17",
     "hybrid-cycles-exact": "03f766fdf8996609e05e43ba53da0cf379d05c4698c38ce51c307f4c0a1b5a87",
 }
 
@@ -60,6 +67,14 @@ def _des_lines(stats, log) -> list[str]:
     return [format_event(rec) for rec in log] + [_exact(stats.to_flat_dict()), _exact(series)]
 
 
+def _files_sha(paths) -> str:
+    # file name and bytes of each file, so a renamed or reordered file shows
+    h = hashlib.sha256()
+    for p in sorted(paths):
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 def _digest(name: str, tmp_path) -> str:
     if name == "des-default":
         sc = default_scenario()
@@ -77,10 +92,31 @@ def _digest(name: str, tmp_path) -> str:
             for t, s, a in zip(traj.times, traj.states, traj.aux)
         ]
         return _sha(rows + [str(traj.clamp_events)])
+    if name == "des-report-single":
+        sc = default_scenario()
+        stats, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)
+        return _files_sha(emit_des_report(stats, tmp_path, logs=[log]))
+    if name == "des-report-csv":
+        sc = default_scenario()
+        stats, _ = run_des(sc.des, seed=sc.seed, horizon=sc.horizon, collect_log=False)
+        return _files_sha(emit_des_report(stats, tmp_path, fmt="csv"))
+    if name == "des-report-reps":
+        sc = default_scenario()
+        stats, logs = run_des_replicated(
+            sc.des, seed=sc.seed, horizon=sc.horizon, replications=2, collect_log=True
+        )
+        emit_des_report(stats, tmp_path, logs=logs)
+        return _files_sha(tmp_path.glob("eventlog_rep*.csv"))
     report = run_hybrid(default_scenario(), cycles_max=2, tol=1e-12)
     if name == "hybrid-cycles-json":
         emit_hybrid_report(report, tmp_path)
         return hashlib.sha256((tmp_path / "cycles.json").read_bytes()).hexdigest()
+    if name == "hybrid-eventlog-ndjson":
+        emit_hybrid_report(report, tmp_path)
+        return _files_sha(tmp_path.glob("eventlog_cycle*.ndjson"))
+    if name == "hybrid-diff-csv":
+        emit_hybrid_report(report, tmp_path)
+        return _files_sha(tmp_path.glob("diff_p*.csv"))
     lines = []
     for rec in report.cycles:
         lines += _des_lines(rec.des_stats, rec.event_log)

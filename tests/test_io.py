@@ -6,16 +6,21 @@ import random
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim.des import run_des
 from teamsim.errors import ConfigurationError, DataError
 from teamsim.io.report import (
+    EVENT_LOG_HEADER,
     emit_des_report,
     emit_fit_report,
     emit_hybrid_report,
     emit_report,
     emit_sd_report,
+    format_event_ndjson,
+    write_csv,
+    write_event_log,
+    write_event_log_ndjson,
 )
 from teamsim.io.scenario import (
     apply_env_overrides,
@@ -291,6 +296,55 @@ class TestReportEmission:
         stats, _ = run_des(default_scenario().des, seed=20, horizon=5.0)
         with pytest.raises(ConfigurationError):
             emit_des_report(stats, tmp_path, fmt="xml")
+
+
+# finite non-negative times: any size, exact half-way cases at 6 decimals
+# (odd multiples of 1/128 end in ...5 at the 7th decimal), and values whose
+# rounding renders in exponent form
+_event_times = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=10**7).map(lambda a: a / 128),
+    st.sampled_from([0.0, 1e-05, 5e-07, 1.5e-06, 2.5e-06, 9.9999995e-05, 1e16]),
+)
+# a dead letter's detail is a user-supplied skill type, so details are any text
+_details = st.one_of(
+    st.text(),
+    st.sampled_from(["", '"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "café ☃ 😀"]),
+)
+
+
+class TestEventLogWriters:
+    @given(
+        t=_event_times,
+        kind=st.one_of(st.sampled_from(["arrival", "start", "complete"]), st.text()),
+        item_id=st.integers(min_value=0, max_value=2**40),
+        eng_id=st.one_of(st.just(-1), st.integers(min_value=-1, max_value=2**20)),
+        detail=_details,
+    )
+    @example(t=0.0, kind="arrival", item_id=0, eng_id=-1, detail="")
+    @example(t=1e-05, kind="start", item_id=1, eng_id=0, detail='say "hi"\\')
+    @example(t=5e-07, kind="dead_letter", item_id=2, eng_id=-1, detail="ünïcode\x01")
+    @example(t=3 / 128, kind="complete", item_id=3, eng_id=7, detail="x")
+    def test_ndjson_line_equals_json_dumps(self, t, kind, item_id, eng_id, detail):
+        expected = json.dumps(
+            {
+                "time": float(f"{t:.6f}"),
+                "event_kind": kind,
+                "item_id": item_id,
+                "engineer_id": eng_id,
+                "detail": detail,
+            },
+            sort_keys=True,
+        )
+        assert format_event_ndjson((t, kind, item_id, eng_id, detail)) == expected
+
+    def test_empty_logs_and_rows(self, tmp_path):
+        write_event_log_ndjson([], tmp_path / "e.ndjson")
+        assert (tmp_path / "e.ndjson").read_bytes() == b""
+        write_event_log([], tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_text() == EVENT_LOG_HEADER + "\n"
+        write_csv(tmp_path / "r.csv", ("a", "b"), [])
+        assert (tmp_path / "r.csv").read_text() == "a,b\n"
 
 
 class TestScenarioIO:
