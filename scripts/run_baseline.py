@@ -16,19 +16,6 @@ from teamsim.io.scenario import default_scenario, load_scenario
 from teamsim.sd import run_sd
 
 
-def pooled(stats, priority, of):
-    total, n = 0.0, 0
-    for key in stats.class_keys():
-        if key[1] is not priority:
-            continue
-        c = stats.completed.get(key, 0)
-        m = of(key)
-        if c and m is not None:
-            total += m * c
-            n += c
-    return (total / n if n else float("nan")), n
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", default="default", help="scenario YAML path, or 'default'")
@@ -49,8 +36,8 @@ def main() -> int:
           f"stops {stats.stop_count}  rework {stats.rework_count}")
     print(f"{'priority':<10}{'n done':>8}{'mean queue d':>14}{'mean total d':>14}")
     for pr in (Priority.P1, Priority.P2, Priority.P3):
-        q, n = pooled(stats, pr, stats.mean_queue_days)
-        w, _ = pooled(stats, pr, stats.mean_completion_days)
+        q, n = stats.pooled_queue_days(pr)
+        w, _ = stats.pooled_completion_days(pr)
         print(f"{pr.name:<10}{n:>8}{q:>14.2f}{w:>14.2f}")
 
     traj = run_sd(sc.sd_initial, sc.sd_params, sc.horizon, sc.dt)

@@ -18,23 +18,6 @@ from teamsim.io.report import emit_hybrid_report
 from teamsim.io.scenario import default_scenario, load_scenario
 
 
-def completed_of(stats, priority):
-    return sum(c for (_, pr), c in stats.completed.items() if pr is priority)
-
-
-def pooled_days(stats, priority):
-    total, n = 0.0, 0
-    for key in stats.class_keys():
-        if key[1] is not priority:
-            continue
-        c = stats.completed.get(key, 0)
-        m = stats.mean_completion_days(key)
-        if c and m is not None:
-            total += m * c
-            n += c
-    return total / n if n else float("nan")
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", default="default", help="scenario YAML path, or 'default'")
@@ -53,7 +36,8 @@ def main() -> int:
         s = rec.des_stats
         print(f"{rec.index:<6}{mods.rework_multiplier:>9.3f}{mods.capacity_factor:>9.3f}"
               f"{mods.interrupt_rate:>9.3f}{s.stop_count:>7}{s.rework_count:>7}"
-              f"{pooled_days(s, Priority.P2):>8.2f}{completed_of(s, Priority.P3):>8}")
+              f"{s.pooled_completion_days(Priority.P2)[0]:>8.2f}"
+              f"{s.completed_of_priority(Priority.P3):>8}")
 
     base = report.cycles[0].des_stats
     last = report.cycles[-1].des_stats
@@ -61,8 +45,10 @@ def main() -> int:
           f"(converged={str(report.converged).lower()}):")
     print(f"  stops      {base.stop_count} -> {last.stop_count}")
     print(f"  rework     {base.rework_count} -> {last.rework_count}")
-    print(f"  P2 days    {pooled_days(base, Priority.P2):.2f} -> {pooled_days(last, Priority.P2):.2f}")
-    print(f"  P3 done    {completed_of(base, Priority.P3)} -> {completed_of(last, Priority.P3)}")
+    p2_days = [s.pooled_completion_days(Priority.P2)[0] for s in (base, last)]
+    p3_done = [s.completed_of_priority(Priority.P3) for s in (base, last)]
+    print(f"  P2 days    {p2_days[0]:.2f} -> {p2_days[1]:.2f}")
+    print(f"  P3 done    {p3_done[0]} -> {p3_done[1]}")
 
     written = emit_hybrid_report(report, Path(args.out), fmt="json")
     print(f"\nwrote {len(written)} files under {args.out}/")

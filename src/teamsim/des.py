@@ -1,12 +1,12 @@
 """Event-driven model of a skill-based team working a prioritized backlog.
 
-Work arrives from Poisson generators, lands in a consolidating team queue,
-and is routed to per-engineer queues (shortest queue first, affinity as the
-tie-break).  Service is preempt-resume: items can be stopped by a skill
-mismatch, by a strictly higher-priority arrival, or by a management
-interruption, and carry their remaining work content with them.  Completed
-items can emit follow-on incidents, which re-enter the team queue and
-compete with fresh demand.
+Work arrives from Poisson generators and is routed to an engineer's queue
+the moment it arrives (shortest queue first, affinity as the tie-break).
+Service is preempt-resume: items can be stopped by a skill mismatch, by a
+strictly higher-priority arrival, or by a management interruption, and
+carry their remaining work content with them.  An item stopped for want
+of skill is re-routed at once.  Completed items can emit follow-on
+incidents, which are routed at once too and compete with fresh demand.
 
 Routing is work-conserving: an engineer whose own queue is empty pulls the
 best compatible waiting item from a colleague's queue rather than idling.
@@ -374,6 +374,41 @@ class DesStats:
         counts = self.daily_completion_count[key]
         return [s / c if c > 0 else None for s, c in zip(sums, counts)]
 
+    # -- pooled over the work types of one priority ----------------------------------
+    def completed_of_priority(self, priority: Priority) -> int:
+        return sum(c for (_, pr), c in self.completed.items() if pr is priority)
+
+    def _pooled_mean(self, priority: Priority, mean_of) -> tuple[float, int]:
+        # per-class means weighted by completions, added in class_keys() order
+        total, n = 0.0, 0
+        for key in self.class_keys():
+            c = self.completed.get(key, 0)
+            if key[1] is priority and c:
+                total += mean_of(key) * c
+                n += c
+        return (total / n if n else math.nan), n
+
+    def pooled_completion_days(self, priority: Priority) -> tuple[float, int]:
+        """(mean completion days, completions) of one priority; NaN if none."""
+        return self._pooled_mean(priority, self.mean_completion_days)
+
+    def pooled_queue_days(self, priority: Priority) -> tuple[float, int]:
+        """(mean queue days, completions) of one priority; NaN if none."""
+        return self._pooled_mean(priority, self.mean_queue_days)
+
+    def priority_daily_mean(self, priority: Priority) -> list[float | None]:
+        """Daily mean completion time of one priority, None on days without one."""
+        sums = [0.0] * self.n_days
+        counts = [0] * self.n_days
+        for key, daily in self.daily_completion_sum.items():
+            if key[1] is not priority:
+                continue
+            cnts = self.daily_completion_count[key]
+            for i in range(len(daily)):
+                sums[i] += daily[i]
+                counts[i] += cnts[i]
+        return [s / c if c > 0 else None for s, c in zip(sums, counts)]
+
     @property
     def total_days(self) -> float:
         return self.horizon * self.replications
@@ -536,7 +571,6 @@ class DesEngine:
         self.calendar = EventCalendar()
         self.stats = DesStats(horizon)
         self.log: list[EventRecord] | None = [] if collect_log else None
-        self.team_queue = WorkQueue(name="team")
         self.servers = [_Server(i, eng) for i, eng in enumerate(config.engineers)]
         self.servers_by_type: dict[str, list[_Server]] = {}
         for srv in self.servers:
@@ -573,12 +607,13 @@ class DesEngine:
         # per-priority counts are indexed by int(priority); a queue's length
         # is the sum of its counts
         st = self.stats
-        team = self.team_queue.counts()
         own = [sum(col) for col in zip(*[srv.queue.counts() for srv in self.servers])]
-        st.daily_team_queue.append(sum(team))
+        # work is routed the instant it enters, so nothing waits at team
+        # level at a day boundary; the series is kept for its report column
+        st.daily_team_queue.append(0)
         st.daily_individual_queue.append(sum(own))
         for p, series in st.daily_queue_by_priority.items():
-            series.append(team[p] + own[p])
+            series.append(own[p])
 
     # -- event handlers --------------------------------------------------------
     def _admit(self, item: WorkItem, t: float, kind: str, eng_id: int, detail: str) -> None:
@@ -586,7 +621,6 @@ class DesEngine:
         self.n_in_system += 1
         if self.log is not None:
             self.log.append((t, kind, item.id, eng_id, detail))
-        self.team_queue.push(item, t)
 
     def _on_arrival(self, t: float, gen_index: int) -> None:
         gen = self.cfg.generators[gen_index]
@@ -596,6 +630,7 @@ class DesEngine:
         item = gen.sample_item(t, self.rng, self._next_id())
         detail = f"{item.work_type.value}:{item.priority.name}" if self.log is not None else ""
         self._admit(item, t, "arrival", -1, detail)
+        self._route(item, t)
 
     def _on_service_end(self, t: float, server_index: int, epoch: int) -> None:
         srv = self.servers[server_index]
@@ -623,12 +658,12 @@ class DesEngine:
         item.stop_count += 1
         self.stats.stop_count += 1
         if seg == _SEG_SKILL_STOP:
-            # insufficient skill surfaced mid-service: back to the team queue
+            # insufficient skill surfaced mid-service: route the item afresh
             self.stats.stop_skill += 1
             self.stats.reassignment_count += 1
             if self.log is not None:
                 self.log.append((t, "stop", item.id, srv.engineer.id, "skill"))
-            self.team_queue.push(item, t)
+            self._route(item, t)
         else:
             item.remaining_service_hours += cfg.switch_penalty_hours
             self.stats.stop_interrupt += 1
@@ -654,6 +689,7 @@ class DesEngine:
         )
         self.stats.rework_count += 1
         self._admit(incident, t, "incident", srv.engineer.id, f"from:{item.id}")
+        self._route(incident, t)
 
     # -- dispatch ---------------------------------------------------------------
     def _dead_letter(self, item: WorkItem, t: float) -> None:
@@ -702,27 +738,27 @@ class DesEngine:
             self.log.append((t, "dispatch", item.id, srv.engineer.id, "steal"))
         return item
 
+    def _route(self, item: WorkItem, t: float) -> None:
+        # shortest own queue of the item's skill type, then affinity, then id
+        cands = self.servers_by_type.get(item.required.skill_type)
+        if not cands:
+            self._dead_letter(item, t)
+            return
+        is_project = item.work_type is WorkType.PROJECT_TASK
+        best = None
+        best_key = None
+        for srv in cands:
+            k = (len(srv.queue), 0 if srv.project_primary == is_project else 1, srv.engineer.id)
+            if best_key is None or k < best_key:
+                best_key = k
+                best = srv
+        if self.log is not None:
+            self.log.append((t, "dispatch", item.id, best.engineer.id, "route"))
+        best.queue.push(item, t)
+        if best.item is not None and item.priority > best.item.priority:
+            self._preempt(best, t)
+
     def _dispatch(self, t: float) -> None:
-        team = self.team_queue
-        while len(team):
-            item = team.pop_best(t)
-            cands = self.servers_by_type.get(item.required.skill_type)
-            if not cands:
-                self._dead_letter(item, t)
-                continue
-            is_project = item.work_type is WorkType.PROJECT_TASK
-            best = None
-            best_key = None
-            for srv in cands:
-                k = (len(srv.queue), 0 if srv.project_primary == is_project else 1, srv.engineer.id)
-                if best_key is None or k < best_key:
-                    best_key = k
-                    best = srv
-            if self.log is not None:
-                self.log.append((t, "dispatch", item.id, best.engineer.id, "route"))
-            best.queue.push(item, t)
-            if best.item is not None and item.priority > best.item.priority:
-                self._preempt(best, t)
         # work-conserving start pass: idle engineers pull their own queue, then
         # steal.  One pass in index order is a fixpoint: nothing in it pushes
         # (starting service and stealing only take items out of queues), so
@@ -772,11 +808,16 @@ class DesEngine:
 
     # -- main loop ----------------------------------------------------------------
     def run(self) -> DesStats:
+        if len({item.id for item in self.initial_items}) != len(self.initial_items):
+            raise ConfigurationError("initial items must have distinct ids")
         for item in self.initial_items:
             if item.arrival_time != 0.0:
                 raise ConfigurationError("initial items must carry arrival_time 0")
             self._admit(item, 0.0, "arrival", -1, "initial")
         if self.initial_items:
+            # the whole batch arrives at once: route it in discipline order
+            for item in sorted(self.initial_items, key=queue_key):
+                self._route(item, 0.0)
             self._dispatch(0.0)
         for gi, gen in enumerate(self.cfg.generators):
             if gen.daily_rate > 0.0:
@@ -813,10 +854,6 @@ class DesEngine:
             if srv.item is not None:
                 key = (srv.item.work_type, srv.item.priority)
                 st.final_in_service[key] = st.final_in_service.get(key, 0) + 1
-        for item in self.team_queue.items():
-            key = (item.work_type, item.priority)
-            st.final_in_queue[key] = st.final_in_queue.get(key, 0) + 1
-            in_queue += 1
         accounted = st.completed_total + st.dead_letter_count + in_queue + self.n_busy
         if accounted != st.arrived_total:
             raise StructuralError(

@@ -162,11 +162,6 @@ class Engineer:
                 f"engineer {self.id}: capacity_factor must lie in (0, 1], got {self.capacity_factor}"
             )
 
-    def can_serve(self, item: WorkItem) -> bool:
-        # level mismatches are allowed (they trigger stops or extra errors);
-        # a wrong skill type is a hard mismatch
-        return self.skill.skill_type == item.required.skill_type
-
 
 def queue_key(item: WorkItem) -> tuple[int, float, int]:
     """Service discipline: highest priority first, then FIFO, then id."""

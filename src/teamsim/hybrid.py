@@ -169,20 +169,6 @@ class HybridReport:
         return len(self.cycles)
 
 
-def priority_daily_mean(stats: DesStats, priority: Priority) -> list[float | None]:
-    """Daily mean completion time pooled over work types of one priority."""
-    sums = [0.0] * stats.n_days
-    counts = [0] * stats.n_days
-    for (wt, pr), daily in stats.daily_completion_sum.items():
-        if pr is not priority:
-            continue
-        cnts = stats.daily_completion_count[(wt, pr)]
-        for i in range(len(daily)):
-            sums[i] += daily[i]
-            counts[i] += cnts[i]
-    return [s / c if c > 0 else None for s, c in zip(sums, counts)]
-
-
 def _diff_series(cur: DesStats, base: DesStats) -> dict:
     keys = sorted(
         set(cur.daily_completion_sum) | set(base.daily_completion_sum),

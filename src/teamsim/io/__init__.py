@@ -4,7 +4,6 @@ from .report import (
     emit_des_report,
     emit_fit_report,
     emit_hybrid_report,
-    emit_report,
     emit_sd_report,
     write_event_log,
     write_event_log_ndjson,
@@ -46,7 +45,6 @@ __all__ = [
     "emit_des_report",
     "emit_fit_report",
     "emit_hybrid_report",
-    "emit_report",
     "emit_sd_report",
     "fit_rate",
     "generate_synthetic",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from ..des import DesStats, EventRecord, format_event
 from ..domain import Priority
 from ..errors import ConfigurationError
-from ..hybrid import HybridReport, priority_daily_mean
+from ..hybrid import HybridReport
 from ..sd import SdAux, SdState, SdTrajectory
 
 FORMATS = ("json", "csv")
@@ -226,8 +226,8 @@ def emit_hybrid_report(report: HybridReport, out_dir: Path, fmt: str = "json") -
     base = report.cycles[0].des_stats
     final = report.cycles[-1].des_stats
     for pr in (Priority.P1, Priority.P2, Priority.P3):
-        cur = priority_daily_mean(final, pr)
-        ref = priority_daily_mean(base, pr)
+        cur = final.priority_daily_mean(pr)
+        ref = base.priority_daily_mean(pr)
         rows = []
         for day0, (c, r) in enumerate(zip(cur, ref)):
             delta = c - r if (c is not None and r is not None) else None
@@ -277,14 +277,3 @@ def emit_fit_report(result, out_dir: Path, fmt: str = "json") -> list[Path]:
         p = out_dir / "fits.csv"
         write_csv(p, ("class", "n", "rate_per_day", "ks_distance", "mean_service_hours"), rows)
     return [p]
-
-
-def emit_report(result, out_dir: Path, fmt: str = "json") -> list[Path]:
-    """Dispatch on result type; see the per-type emitters."""
-    if isinstance(result, DesStats):
-        return emit_des_report(result, out_dir, fmt)
-    if isinstance(result, SdTrajectory):
-        return emit_sd_report(result, out_dir, fmt)
-    if isinstance(result, HybridReport):
-        return emit_hybrid_report(result, out_dir, fmt)
-    raise ConfigurationError(f"no emitter for result type {type(result).__name__}")

@@ -42,7 +42,6 @@ class Scenario:
     dt: float = 0.25
     cycles_max: int = 5
     tol: float = 1e-3
-    service_time_source: str = "touch"
     name: str = "scenario"
 
     def validate(self) -> None:
@@ -59,10 +58,6 @@ class Scenario:
             raise ConfigurationError("cycles_max must be >= 1")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
-        if self.service_time_source not in ("touch", "elapsed"):
-            raise ConfigurationError(
-                f"service_time_source must be 'touch' or 'elapsed', got {self.service_time_source!r}"
-            )
 
 
 def _reject_unknown(doc: Mapping, allowed: set[str], ctx: str) -> None:
@@ -149,7 +144,6 @@ _TOP_KEYS = {
     "dt",
     "cycles_max",
     "tol",
-    "service_time_source",
     "engineers",
     "generators",
     "des",
@@ -210,7 +204,6 @@ def scenario_from_dict(doc: Mapping, name: str = "scenario") -> Scenario:
         dt=float(doc.get("dt", 0.25)),
         cycles_max=int(doc.get("cycles_max", 5)),
         tol=float(doc.get("tol", 1e-3)),
-        service_time_source=str(doc.get("service_time_source", "touch")),
         name=str(doc.get("name", name)),
     )
     scenario.validate()
@@ -232,7 +225,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "dt": s.dt,
         "cycles_max": s.cycles_max,
         "tol": s.tol,
-        "service_time_source": s.service_time_source,
         "engineers": [_engineer_to_dict(e) for e in s.des.engineers],
         "generators": [_generator_to_dict(g) for g in s.des.generators],
         "des": des,

@@ -43,39 +43,6 @@ def verdict(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-# -------------------------------------------------------- pooled summaries
-
-
-def pooled_queue_days(stats, priority):
-    total, n = 0.0, 0
-    for key in stats.class_keys():
-        if key[1] is not priority:
-            continue
-        c = stats.completed.get(key, 0)
-        m = stats.mean_queue_days(key)
-        if c and m is not None:
-            total += m * c
-            n += c
-    return (total / n if n else None), n
-
-
-def pooled_completion_days(stats, priority):
-    total, n = 0.0, 0
-    for key in stats.class_keys():
-        if key[1] is not priority:
-            continue
-        c = stats.completed.get(key, 0)
-        m = stats.mean_completion_days(key)
-        if c and m is not None:
-            total += m * c
-            n += c
-    return (total / n if n else None), n
-
-
-def completed_of_priority(stats, priority):
-    return sum(c for (wt, pr), c in stats.completed.items() if pr is priority)
-
-
 def erlang_c_wait(c: int, lam: float, mu: float) -> float:
     """Mean queueing delay of M/M/c by direct summation."""
     a = lam / mu
@@ -167,7 +134,7 @@ def test_c3_priority_ordering_of_waits():
     examples = []
     for seed in range(20):
         stats, _ = run_des(sc.des, seed=seed, horizon=126.0, collect_log=False)
-        qs = {pr: pooled_queue_days(stats, pr) for pr in Priority}
+        qs = {pr: stats.pooled_queue_days(pr) for pr in Priority}
         if all(n >= 100 for _, n in qs.values()):
             qualified += 1
             q1, q2, q3 = (qs[pr][0] for pr in (Priority.P1, Priority.P2, Priority.P3))
@@ -190,8 +157,8 @@ def test_c4_overload_protects_urgent_work_and_starves_lowest():
     ok = True
     for seed in range(20, 25):
         stats, _ = run_des(sc.des, seed=seed, horizon=126.0, collect_log=False)
-        q1, _ = pooled_queue_days(stats, Priority.P1)
-        q2, _ = pooled_queue_days(stats, Priority.P2)
+        q1, _ = stats.pooled_queue_days(Priority.P1)
+        q2, _ = stats.pooled_queue_days(Priority.P2)
         p3 = stats.daily_queue_by_priority[Priority.P3]
         p = mann_kendall_p(p3)
         grows = p3[125] > p3[62] > p3[0]
@@ -212,13 +179,13 @@ def test_c5_closing_the_loop_degrades_service():
         report = run_hybrid(sc, cycles_max=3, seed=seed, tol=1e-12, collect_logs=False)
         base = report.cycles[0].des_stats
         final = report.cycles[-1].des_stats
-        p2_base, _ = pooled_completion_days(base, Priority.P2)
-        p2_final, _ = pooled_completion_days(final, Priority.P2)
+        p2_base, _ = base.pooled_completion_days(Priority.P2)
+        p2_final, _ = final.pooled_completion_days(Priority.P2)
         if final.stop_count > base.stop_count:
             wins["stops"] += 1
         if p2_final > p2_base:
             wins["p2_slower"] += 1
-        if completed_of_priority(final, Priority.P3) < completed_of_priority(base, Priority.P3):
+        if final.completed_of_priority(Priority.P3) < base.completed_of_priority(Priority.P3):
             wins["p3_fewer"] += 1
         if final.rework_count > base.rework_count:
             wins["rework"] += 1
@@ -226,8 +193,8 @@ def test_c5_closing_the_loop_degrades_service():
             figures.append(
                 f"seed 1: stops {base.stop_count}->{final.stop_count}, "
                 f"P2 {p2_base:.2f}->{p2_final:.2f}d, "
-                f"P3 done {completed_of_priority(base, Priority.P3)}->"
-                f"{completed_of_priority(final, Priority.P3)}, "
+                f"P3 done {base.completed_of_priority(Priority.P3)}->"
+                f"{final.completed_of_priority(Priority.P3)}, "
                 f"rework {base.rework_count}->{final.rework_count}"
             )
     ok = all(v >= 9 for v in wins.values())

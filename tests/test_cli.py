@@ -66,6 +66,18 @@ class TestValidate:
         assert res.returncode == 1
         assert "priority_mix" in res.stderr
 
+    def test_service_time_source_key_is_unknown(self, tmp_path):
+        # the ingest source is chosen by `teamsim fit --service-time-source`
+        p = tmp_path / "sc.yaml"
+        save_scenario(default_scenario(), p)
+        doc = yaml.safe_load(p.read_text())
+        doc["service_time_source"] = "touch"
+        p.write_text(yaml.safe_dump(doc))
+        res = run_cli("validate", str(p))
+        assert res.returncode == 1
+        assert "unknown keys: service_time_source" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_missing_file_exits_two(self, tmp_path):
         res = run_cli("validate", str(tmp_path / "absent.yaml"))
         assert res.returncode == 2

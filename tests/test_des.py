@@ -186,6 +186,11 @@ class TestSingleItemArithmetic:
         with pytest.raises(ConfigurationError):
             run_des(quiet_config(), seed=1, horizon=5.0, initial_items=[bad])
 
+    def test_initial_items_with_duplicate_ids_rejected(self):
+        items = [make_initial(0, 4.0), make_initial(0, 4.0)]
+        with pytest.raises(ConfigurationError):
+            run_des(single_class_config(n_engineers=2), seed=1, horizon=5.0, initial_items=items)
+
     def test_two_items_serve_priority_first(self):
         items = [
             make_initial(0, 8.0, Priority.P3),
@@ -435,6 +440,61 @@ class TestWorkConservingDispatch:
         stats = self._run(two_skill_config(), mods, seed=11, horizon=300.0)
         assert stats.stop_interrupt > 0 and stats.preemption_count > 0
         assert stats.dead_letter_count > 0
+
+
+class TestRoutingOrder:
+    """Work is routed the moment it enters the system.
+
+    Every arrival, rework incident and skill stop is followed at once by
+    that item's route (or dead letter).  Items present at time 0 are all
+    admitted first and then routed in service-discipline order.
+    """
+
+    def _check(self, log):
+        """Assert the rule on every entry record; return the entry kinds seen."""
+        kinds = set()
+        for rec, nxt in zip(log, log[1:] + [None]):
+            kind = f"stop {rec[4]}" if rec[1] == "stop" else rec[1]
+            if kind not in ("arrival", "incident", "stop skill") or rec[4] == "initial":
+                continue
+            kinds.add(kind)
+            assert nxt is not None and nxt[0] == rec[0] and nxt[2] == rec[2], (rec, nxt)
+            assert (nxt[1], nxt[4]) == ("dispatch", "route") or nxt[1] == "dead_letter", (rec, nxt)
+        return kinds
+
+    def test_default_scenario(self):
+        sc = default_scenario()
+        _, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)
+        assert self._check(log) == {"arrival", "incident", "stop skill"}
+
+    def test_two_skill_types_with_dead_letters(self):
+        mods = DesModifiers(rework_multiplier=1.0, capacity_factor=0.9, interrupt_rate=0.6)
+        stats, log = run_des(two_skill_config(), mods, seed=11, horizon=300.0)
+        assert self._check(log) == {"arrival", "incident", "stop skill"}
+        assert stats.dead_letter_count > 0
+
+    def test_mmc4(self):
+        _, log = run_des(mmc_config(4, 3.2), seed=4, horizon=200.0)
+        assert self._check(log) == {"arrival"}
+
+    def test_initial_batch_is_routed_in_discipline_order(self):
+        cfg = single_class_config(n_engineers=2)
+        cfg.generators = []
+        # lowest priority and highest id first: the reverse of queue order
+        items = [
+            make_initial(6, 4.0, Priority.P3),
+            make_initial(5, 4.0, Priority.P3),
+            make_initial(4, 4.0, Priority.P2),
+            make_initial(3, 4.0, Priority.P2),
+            make_initial(2, 4.0, Priority.P1),
+            make_initial(1, 4.0, Priority.P1),
+        ]
+        _, log = run_des(cfg, seed=1, horizon=5.0, initial_items=items)
+        batch = [rec for rec in log if rec[0] == 0.0]
+        assert [(r[1], r[2]) for r in batch[:6]] == [("arrival", i) for i in (6, 5, 4, 3, 2, 1)]
+        routes = [(r[2], r[3]) for r in batch[6:] if (r[1], r[4]) == ("dispatch", "route")]
+        # shortest queue first, ties to the lower engineer id
+        assert routes == [(1, 0), (2, 1), (3, 0), (4, 1), (5, 0), (6, 1)]
 
 
 class TestMergeAndReplication:

@@ -112,19 +112,6 @@ class TestEngineer:
         with pytest.raises(ConfigurationError):
             Engineer(id=0, skill=CORE1, affinity=Affinity.PROJECT_PRIMARY, capacity_factor=1.2)
 
-    def test_can_serve_matches_on_type_only(self):
-        eng = Engineer(id=0, skill=SkillSpec("core", 1), affinity=Affinity.PROJECT_PRIMARY)
-        assert eng.can_serve(make_item(1))  # lower level still serves
-        other = WorkItem(
-            id=2,
-            work_type=WorkType.INCIDENT,
-            priority=Priority.P1,
-            required=SkillSpec("net", 1),
-            service_demand_hours=1.0,
-            arrival_time=0.0,
-        )
-        assert not eng.can_serve(other)
-
 
 class TestWorkQueue:
     def test_priority_beats_arrival(self):

@@ -13,7 +13,6 @@ from teamsim.hybrid import (
     extract_feedback,
     extract_feedforward,
     modifier_change,
-    priority_daily_mean,
     run_hybrid,
 )
 from teamsim.io.scenario import default_scenario
@@ -214,7 +213,7 @@ class TestRunHybrid:
 class TestDailyMeans:
     def test_priority_pooling_matches_class_series(self):
         stats, _ = run_des(default_scenario().des, seed=20, horizon=126.0)
-        pooled = priority_daily_mean(stats, Priority.P2)
+        pooled = stats.priority_daily_mean(Priority.P2)
         # rebuild by hand from the per-class accumulators
         sums = [0.0] * stats.n_days
         counts = [0] * stats.n_days
