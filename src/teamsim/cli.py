@@ -24,10 +24,12 @@ from .errors import (
 )
 from .hybrid import run_hybrid
 from .io.report import (
+    des_log_sink,
     emit_des_report,
     emit_fit_report,
     emit_hybrid_report,
     emit_sd_report,
+    hybrid_log_sink,
 )
 from .io.scenario import (
     Scenario,
@@ -101,12 +103,20 @@ def _cmd_des(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     horizon = scenario.horizon if args.horizon is None else args.horizon
     reps = scenario.replications if args.reps is None else args.reps
-    collect = args.out is not None
-    stats, logs = run_des_replicated(
-        scenario.des, None, seed=seed, horizon=horizon, replications=reps, collect_log=collect
+    # the sink creates --out before the first replication and writes each
+    # replication's log as soon as it ends
+    sink = des_log_sink(Path(args.out), reps) if args.out else None
+    stats, _ = run_des_replicated(
+        scenario.des,
+        None,
+        seed=seed,
+        horizon=horizon,
+        replications=reps,
+        collect_log=sink is not None,
+        log_sink=sink,
     )
-    if args.out:
-        for p in emit_des_report(stats, Path(args.out), args.format, logs=logs):
+    if sink is not None:
+        for p in emit_des_report(stats, sink.out_dir, args.format, log_sink=sink):
             print(p)
         return 0
     flat = stats.to_flat_dict()
@@ -134,15 +144,19 @@ def _cmd_sd(args) -> int:
 
 def _cmd_hybrid(args) -> int:
     scenario = _load(args.scenario)
+    # the sink creates --out before the first cycle and writes each cycle's
+    # log as soon as its event-model run ends
+    sink = hybrid_log_sink(Path(args.out)) if args.out else None
     report = run_hybrid(
         scenario,
         cycles_max=args.cycles,
         seed=args.seed,
         tol=args.tol,
-        collect_logs=args.out is not None,
+        collect_logs=sink is not None,
+        log_sink=sink,
     )
-    if args.out:
-        for p in emit_hybrid_report(report, Path(args.out), args.format):
+    if sink is not None:
+        for p in emit_hybrid_report(report, sink.out_dir, args.format, log_sink=sink):
             print(p)
         return 0
     for rec in report.cycles:

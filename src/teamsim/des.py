@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .domain import (
     Affinity,
@@ -764,8 +765,12 @@ class DesEngine:
         # (starting service and stealing only take items out of queues), so
         # an engineer left idle found its own queue and every same-type
         # colleague's queue empty, and they stay empty for the rest of the pass.
+        # Every item in the system is in service or waiting in some queue, so
+        # n_in_system - n_busy items wait; once that many have started, the
+        # engineers still to be visited would find nothing, and the pass ends.
         servers = self.servers
-        if self.n_busy == len(servers):
+        waiting = self.n_in_system - self.n_busy
+        if not waiting or self.n_busy == len(servers):
             return
         for srv in servers:
             if srv.item is None:
@@ -774,6 +779,9 @@ class DesEngine:
                     nxt = self._steal(srv, t)
                 if nxt is not None:
                     self._start_service(srv, nxt, t)
+                    waiting -= 1
+                    if not waiting:
+                        return
 
     def _start_service(self, srv: _Server, item: WorkItem, t: float) -> None:
         eng = srv.engineer
@@ -887,11 +895,14 @@ def run_des_replicated(
     horizon: float = 126.0,
     replications: int = 1,
     collect_log: bool = False,
+    log_sink: Callable[[int, list[EventRecord]], None] | None = None,
 ) -> tuple[DesStats, list[list[EventRecord]]]:
     """Run ``replications`` independent replications with seeds seed, seed+1, ...
 
     Stats are pooled with ``merge_stats``; logs (when collected) come back
-    one list per replication.
+    one list per replication.  With a ``log_sink``, replication ``i``'s log
+    is handed to ``log_sink(i, log)`` as soon as it ends and is not kept,
+    so every returned log is empty.
     """
     if replications < 1:
         raise ConfigurationError("replications must be >= 1")
@@ -899,6 +910,9 @@ def run_des_replicated(
     logs: list[list[EventRecord]] = []
     for i in range(replications):
         stats, log = run_des(config, modifiers, seed + i, horizon, collect_log=collect_log)
+        if log_sink is not None:
+            log_sink(i, log)
+            log = []
         logs.append(log)
         merged = stats if merged is None else merge_stats(merged, stats)
     return merged, logs

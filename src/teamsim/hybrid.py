@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 from .des import DesModifiers, DesStats, EventRecord, run_des
 from .domain import Priority, WorkType
@@ -190,11 +191,15 @@ def run_hybrid(
     seed: int | None = None,
     tol: float | None = None,
     collect_logs: bool = True,
+    log_sink: Callable[[int, list[EventRecord]], None] | None = None,
 ) -> HybridReport:
     """Run the coupled procedure for up to ``cycles_max`` cycles.
 
     Stops early once the feedback modifiers change by less than ``tol``
     (largest relative component change) between consecutive cycles.
+    With a ``log_sink``, each cycle's event log is handed to
+    ``log_sink(k, log)`` as soon as that cycle's event-model run ends and
+    is not kept: every ``CycleRecord.event_log`` is then empty.
     """
     cycles_max = scenario.cycles_max if cycles_max is None else cycles_max
     seed = scenario.seed if seed is None else seed
@@ -217,6 +222,9 @@ def run_hybrid(
             horizon=scenario.horizon,
             collect_log=collect_logs,
         )
+        if log_sink is not None:
+            log_sink(k, log)
+            log = []
         ff = extract_feedforward(stats)
         params_k = apply_feedforward(scenario.sd_params, ff, scenario.sd_initial)
         traj = run_sd(scenario.sd_initial, params_k, scenario.horizon, scenario.dt)

@@ -4,7 +4,9 @@ Every emitter renders floats at six significant digits, sorts JSON keys,
 and writes newline-terminated text, so re-running the same result object
 yields byte-identical files.  CSV columns with no value render as empty
 fields.  The CSV and event-log writers stream one line per record to the
-open file, so no joined copy of a whole file is built in memory.
+open file, so no joined copy of a whole file is built in memory, and an
+``EventLogSink`` writes each run's event log the moment that run ends, so
+no more than one run's log need be held at a time.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import json
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..des import DesStats, EventRecord, format_event
 from ..domain import Priority
@@ -87,6 +89,53 @@ def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
         f.writelines(format_event_ndjson(rec) + "\n" for rec in log)
 
 
+class EventLogSink:
+    """Writes each run's event log to ``out_dir`` as soon as the run ends.
+
+    ``sink(k, log)`` writes run ``k``'s log to ``name.format(k)`` and keeps
+    no reference to it.  ``paths`` lists the files written, in call order:
+    the report emitters list the logs from it, never from a directory
+    listing, so files left in ``out_dir`` by an earlier run are not
+    reported.  Making a sink creates ``out_dir``, so an unusable directory
+    fails before any run starts.
+    """
+
+    def __init__(
+        self,
+        out_dir: Path,
+        name: str,
+        write: Callable[[Iterable[EventRecord], Path], None],
+        skip_empty: bool,
+    ) -> None:
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._name = name
+        self._write = write
+        self._skip_empty = skip_empty
+        self.paths: list[Path] = []
+
+    def __call__(self, k: int, log: Sequence[EventRecord]) -> None:
+        if self._skip_empty and not log:
+            return
+        p = self.out_dir / self._name.format(k)
+        self._write(log, p)
+        self.paths.append(p)
+
+
+def des_log_sink(out_dir: Path, replications: int) -> EventLogSink:
+    """CSV logs: ``eventlog.csv`` for a single replication, else ``eventlog_rep{k}.csv``.
+
+    Every log gets a file, with its header even when the log is empty.
+    """
+    name = "eventlog.csv" if replications == 1 else "eventlog_rep{}.csv"
+    return EventLogSink(out_dir, name, write_event_log, skip_empty=False)
+
+
+def hybrid_log_sink(out_dir: Path) -> EventLogSink:
+    """NDJSON logs named ``eventlog_cycle{k}.ndjson``; a cycle with an empty log gets no file."""
+    return EventLogSink(out_dir, "eventlog_cycle{}.ndjson", write_event_log_ndjson, skip_empty=True)
+
+
 def _check_format(fmt: str) -> None:
     if fmt not in FORMATS:
         raise ConfigurationError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -101,8 +150,13 @@ def emit_des_report(
     out_dir: Path,
     fmt: str = "json",
     logs: Sequence[Sequence[EventRecord]] = (),
+    log_sink: EventLogSink | None = None,
 ) -> list[Path]:
-    """Write summary, daily queue series, and optional event logs."""
+    """Write summary, daily queue series, and optional event logs.
+
+    The event logs are ``logs``, or, when a ``log_sink`` is given, the
+    files it already wrote while the replications ran.
+    """
     _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -133,15 +187,11 @@ def emit_des_report(
     write_csv(p, ("day", "team_queue", "individual_queues", "p1", "p2", "p3"), rows)
     written.append(p)
 
-    if len(logs) == 1:
-        p = out_dir / "eventlog.csv"
-        write_event_log(logs[0], p)
-        written.append(p)
-    else:
+    if log_sink is None:
+        log_sink = des_log_sink(out_dir, len(logs))
         for k, log in enumerate(logs):
-            p = out_dir / f"eventlog_rep{k}.csv"
-            write_event_log(log, p)
-            written.append(p)
+            log_sink(k, log)
+    written += log_sink.paths
     return written
 
 
@@ -202,12 +252,19 @@ def _cycle_dict(rec) -> dict:
     }
 
 
-def emit_hybrid_report(report: HybridReport, out_dir: Path, fmt: str = "json") -> list[Path]:
+def emit_hybrid_report(
+    report: HybridReport,
+    out_dir: Path,
+    fmt: str = "json",
+    log_sink: EventLogSink | None = None,
+) -> list[Path]:
     """Write cycles.json, per-priority difference series, and event logs.
 
     The difference CSVs compare the final cycle against cycle 0: per day,
     the change in mean completion time (days) for that priority.  Days
-    where either cycle completed nothing are left empty.
+    where either cycle completed nothing are left empty.  The event logs
+    are the cycles' ``event_log`` lists, or, when a ``log_sink`` is given,
+    the files it already wrote while the cycles ran.
     """
     _check_format(fmt)
     out_dir = Path(out_dir)
@@ -236,11 +293,11 @@ def emit_hybrid_report(report: HybridReport, out_dir: Path, fmt: str = "json") -
         write_csv(p, ("day", "delta_days"), rows)
         written.append(p)
 
-    for rec in report.cycles:
-        if rec.event_log:
-            p = out_dir / f"eventlog_cycle{rec.index}.ndjson"
-            write_event_log_ndjson(rec.event_log, p)
-            written.append(p)
+    if log_sink is None:
+        log_sink = hybrid_log_sink(out_dir)
+        for rec in report.cycles:
+            log_sink(rec.index, rec.event_log)
+    written += log_sink.paths
     return written
 
 

@@ -1,12 +1,17 @@
-"""End-to-end command line tests through a real subprocess."""
+"""End-to-end command line tests, most through a real subprocess."""
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
 
+from teamsim import cli
 from teamsim.io.scenario import default_scenario, save_scenario
+
+from test_golden import GOLDEN, _files_sha
 
 SYNTH_SPEC = {
     "classes": [
@@ -148,6 +153,75 @@ class TestHybridCommand:
         assert res.returncode == 0
         doc = json.loads((tmp_path / "cycles.json").read_text())
         assert doc["n_cycles"] == 1
+
+
+class TestOutDirectory:
+    """``--out`` is created before the first run; each run's event log is
+    written when that run ends, and only the files written are listed."""
+
+    @pytest.mark.parametrize("command", ["des", "hybrid"])
+    def test_out_is_a_regular_file_exits_two(self, tmp_path, command):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        res = run_cli(command, "default", "--out", str(target))
+        assert res.returncode == 2
+        assert res.stderr.startswith("i/o error:") and "File exists" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, runner", [("des", "run_des_replicated"), ("hybrid", "run_hybrid")]
+    )
+    def test_unusable_out_fails_before_any_run(self, tmp_path, monkeypatch, command, runner):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation started before --out was created")
+
+        monkeypatch.setattr(cli, runner, no_run)
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert cli.main([command, "default", "--out", str(target)]) == 2
+
+    def test_hybrid_logs_match_golden_and_stale_files_are_not_listed(self, tmp_path):
+        (tmp_path / "eventlog_cycle5.ndjson").write_text("stale\n")
+        res = run_cli("hybrid", "default", "--cycles", "2", "--tol", "1e-12", "--out", str(tmp_path))
+        assert res.returncode == 0
+        names = ["cycles.json", "diff_p1.csv", "diff_p2.csv", "diff_p3.csv",
+                 "eventlog_cycle0.ndjson", "eventlog_cycle1.ndjson"]
+        assert res.stdout.splitlines() == [str(tmp_path / n) for n in names]
+        logs = [tmp_path / n for n in names if n.startswith("eventlog")]
+        assert _files_sha(logs) == GOLDEN["hybrid-eventlog-ndjson"]
+
+    def test_des_replication_logs_match_golden(self, tmp_path):
+        res = run_cli("des", "default", "--reps", "2", "--out", str(tmp_path))
+        assert res.returncode == 0
+        names = ["summary.json", "queue_lengths.csv", "eventlog_rep0.csv", "eventlog_rep1.csv"]
+        assert res.stdout.splitlines() == [str(tmp_path / n) for n in names]
+        assert _files_sha(tmp_path.glob("eventlog_rep*.csv")) == GOLDEN["des-report-reps"]
+
+    def test_single_replication_writes_eventlog_csv(self, tmp_path):
+        res = run_cli("des", "default", "--reps", "1", "--horizon", "20", "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[-1] == str(tmp_path / "eventlog.csv")
+        assert not list(tmp_path.glob("eventlog_rep*"))
+
+    def test_memory_holds_one_cycle_log(self, tmp_path, monkeypatch, capsys):
+        # the peak must not grow with the number of cycles whose logs are written
+        monkeypatch.setenv("TEAMSIM_HORIZON", "400")
+
+        def peak(cycles: int) -> int:
+            out = tmp_path / f"c{cycles}"
+            tracemalloc.start()
+            try:
+                rc = cli.main(["hybrid", "default", "--cycles", str(cycles), "--tol", "1e-12",
+                               "--out", str(out)])
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rc == 0 and (out / f"eventlog_cycle{cycles - 1}.ndjson").exists()
+            return top
+
+        two, six = peak(2), peak(6)
+        capsys.readouterr()
+        assert six <= 1.5 * two, f"peak {six / 1e6:.2f} MB for 6 cycles, {two / 1e6:.2f} MB for 2"
 
 
 class TestSynthAndFit:

@@ -398,6 +398,8 @@ class CheckedEngine(DesEngine):
     An idle engineer's own queue must be empty, and so must the queue of
     every colleague of the same skill type (it could have stolen from
     them).  This is what makes a single start pass in ``_dispatch`` enough.
+    Every item in the system is in service or in a queue: ``_dispatch``
+    stops once ``n_in_system - n_busy`` items have started.
     """
 
     dispatches = 0
@@ -406,6 +408,10 @@ class CheckedEngine(DesEngine):
     def _dispatch(self, t: float) -> None:
         super()._dispatch(t)
         self.dispatches += 1
+        queued = sum(len(srv.queue) for srv in self.servers)
+        assert self.n_in_system - self.n_busy == queued, (
+            f"t={t}: {self.n_in_system} in system, {self.n_busy} busy, {queued} queued"
+        )
         for srv in self.servers:
             if srv.item is not None:
                 continue

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from teamsim.des import run_des
+from teamsim.des import run_des, run_des_replicated
 from teamsim.errors import ConfigurationError, DataError
 from teamsim.io.report import (
     EVENT_LOG_HEADER,
@@ -18,6 +18,7 @@ from teamsim.io.report import (
     emit_hybrid_report,
     emit_sd_report,
     format_event_ndjson,
+    hybrid_log_sink,
     write_csv,
     write_event_log,
     write_event_log_ndjson,
@@ -292,6 +293,29 @@ class TestReportEmission:
         stats, _ = run_des(default_scenario().des, seed=20, horizon=5.0)
         with pytest.raises(ConfigurationError):
             emit_des_report(stats, tmp_path, fmt="xml")
+
+
+class TestLogSink:
+    def test_runs_hand_each_log_to_the_sink_and_keep_none(self):
+        sc = default_scenario()
+        got = []
+        report = run_hybrid(sc, cycles_max=2, tol=1e-12, log_sink=lambda k, log: got.append((k, log)))
+        ref = run_hybrid(sc, cycles_max=2, tol=1e-12)
+        assert got == [(rec.index, rec.event_log) for rec in ref.cycles]
+        assert [rec.event_log for rec in report.cycles] == [[], []]
+
+        got.clear()
+        kw = dict(seed=sc.seed, horizon=30.0, replications=2, collect_log=True)
+        _, logs = run_des_replicated(sc.des, log_sink=lambda k, log: got.append((k, log)), **kw)
+        _, ref_logs = run_des_replicated(sc.des, **kw)
+        assert got == list(enumerate(ref_logs)) and logs == [[], []]
+
+    def test_cycle_with_empty_log_gets_no_file(self, tmp_path):
+        sink = hybrid_log_sink(tmp_path)
+        report = run_hybrid(default_scenario(), cycles_max=1, collect_logs=False, log_sink=sink)
+        written = emit_hybrid_report(report, tmp_path, log_sink=sink)
+        assert sink.paths == [] and not list(tmp_path.glob("eventlog*"))
+        assert [p.name for p in written] == ["cycles.json", "diff_p1.csv", "diff_p2.csv", "diff_p3.csv"]
 
 
 # finite non-negative times: any size, exact half-way cases at 6 decimals
