@@ -11,7 +11,7 @@ from pathlib import Path
 
 from teamsim.des import run_des_replicated
 from teamsim.domain import Priority
-from teamsim.io.report import emit_des_report, emit_sd_report
+from teamsim.io.report import des_log_sink, emit_des_report, emit_sd_report
 from teamsim.io.scenario import default_scenario, load_scenario
 from teamsim.sd import run_sd
 
@@ -28,8 +28,11 @@ def main() -> int:
     seed = sc.seed if args.seed is None else args.seed
     out = Path(args.out)
 
-    stats, logs = run_des_replicated(
-        sc.des, seed=seed, horizon=sc.horizon, replications=args.reps, collect_log=True
+    # each replication's log is written as soon as it ends
+    sink = des_log_sink(out / "des", args.reps)
+    stats, _ = run_des_replicated(
+        sc.des, seed=seed, horizon=sc.horizon, replications=args.reps, collect_log=True,
+        log_sink=sink,
     )
     print(f"== event model: {args.reps} x {sc.horizon:g} days, seed {seed} ==")
     print(f"arrived {stats.arrived_total}  completed {stats.completed_total}  "
@@ -48,7 +51,7 @@ def main() -> int:
     print(f"fatigue {final.fatigue:.3f}  pressure {final.mgmt_pressure:.3f}  "
           f"rework pool {final.rework_pool:.1f}  clamps {traj.clamp_events}")
 
-    written = emit_des_report(stats, out / "des", fmt="json", logs=logs)
+    written = emit_des_report(stats, sink.out_dir, fmt="json", log_sink=sink)
     written += emit_sd_report(traj, out / "sd", fmt="json")
     print(f"\nwrote {len(written)} files under {out}/")
     return 0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from teamsim.domain import Priority
 from teamsim.hybrid import run_hybrid
-from teamsim.io.report import emit_hybrid_report
+from teamsim.io.report import emit_hybrid_report, hybrid_log_sink
 from teamsim.io.scenario import default_scenario, load_scenario
 
 
@@ -27,7 +27,11 @@ def main() -> int:
     args = ap.parse_args()
 
     sc = default_scenario() if args.scenario == "default" else load_scenario(args.scenario)
-    report = run_hybrid(sc, cycles_max=args.cycles, seed=args.seed, tol=1e-12, collect_logs=True)
+    # each cycle's log is written as soon as its event-model run ends
+    sink = hybrid_log_sink(Path(args.out))
+    report = run_hybrid(
+        sc, cycles_max=args.cycles, seed=args.seed, tol=1e-12, collect_logs=True, log_sink=sink
+    )
 
     print(f"{'cycle':<6}{'rework x':>9}{'capacity':>9}{'intr/day':>9}"
           f"{'stops':>7}{'rework':>7}{'P2 days':>8}{'P3 done':>8}")
@@ -50,7 +54,7 @@ def main() -> int:
     print(f"  P2 days    {p2_days[0]:.2f} -> {p2_days[1]:.2f}")
     print(f"  P3 done    {p3_done[0]} -> {p3_done[1]}")
 
-    written = emit_hybrid_report(report, Path(args.out), fmt="json")
+    written = emit_hybrid_report(report, sink.out_dir, fmt="json", log_sink=sink)
     print(f"\nwrote {len(written)} files under {args.out}/")
     return 0
 

@@ -12,7 +12,6 @@ from .des import (
     DesModifiers,
     DesStats,
     GeneratorConfig,
-    format_event,
     merge_stats,
     run_des,
     run_des_replicated,
@@ -92,7 +91,6 @@ __all__ = [
     "extract_feedback",
     "extract_feedforward",
     "fit_rate",
-    "format_event",
     "generate_synthetic",
     "ingest_tickets",
     "load_scenario",

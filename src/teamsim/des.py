@@ -52,11 +52,6 @@ _SEG_INTERRUPT = 2
 _MIX_TOL = 1e-9
 
 
-def format_event(rec: EventRecord) -> str:
-    """Canonical one-line rendering: time,event_kind,item_id,engineer_id,detail."""
-    return f"{rec[0]:.6f},{rec[1]},{rec[2]},{rec[3]},{rec[4]}"
-
-
 def sample_interarrival(rate: float, rng) -> float:
     """Strictly positive exponential variate with the given daily rate."""
     if rate <= 0.0 or not math.isfinite(rate):
@@ -277,45 +272,67 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
+def class_order(key: tuple[WorkType, Priority]) -> tuple[str, int]:
+    """Sort key of a (work type, priority) class: by type name, then P1 first."""
+    return key[0].value, -int(key[1])
+
+
 class DesStats:
     """Raw accumulators from one or more replications, plus derived summaries.
+
+    Every accumulator is declared once below, grouped by kind, and the kind
+    says how ``__init__`` starts it and how ``merge_stats`` pools it:
+    scalar counters and integrals add; per-class counts add key by key;
+    per-class samples concatenate; daily series add day by day.  Totals
+    that follow from the accumulators (``arrived_total``,
+    ``completed_total``, ``stop_count``, ``reassignment_count`` and
+    ``daily_individual_queue``) are read-only properties, not stored.
 
     Merging pools raw samples and sums counters, so every derived statistic
     of ``merge_stats(a, b)`` equals that of ``merge_stats(b, a)`` exactly
     (sample means use exact summation, quantiles sort first).
     """
 
+    # scalar counters, each with the summary key it is reported under
+    COUNTERS = {
+        "stop_skill": "stops_skill",
+        "stop_interrupt": "stops_interrupt",
+        "preemption_count": "preemptions",
+        "rework_count": "rework_incidents",
+        "dead_letter_count": "dead_letters",
+    }
+    # time integrals of the number in system and of the number busy
+    INTEGRALS = ("in_system_integral", "busy_integral")
+    # dicts keyed by (work type, priority)
+    CLASS_COUNTS = ("arrived", "completed", "final_in_queue", "final_in_service")
+    CLASS_SAMPLES = ("completion_samples", "queue_time_samples")
+    CLASS_DAILY = ("daily_completion_sum", "daily_completion_count")
+    # dicts keyed by every priority, one entry per day boundary
+    PRIORITY_DAILY = ("daily_queue_by_priority",)
+    # derived totals reported beside the counters
+    DERIVED_COUNTERS = {
+        "arrived_total": "arrived_total",
+        "completed_total": "completed_total",
+        "stop_count": "stops_total",
+        "reassignment_count": "reassignments",
+    }
+
     def __init__(self, horizon: float) -> None:
         self.horizon = horizon
         self.replications = 1
         self.n_days = int(math.floor(horizon))
-        self.arrived: dict[tuple[WorkType, Priority], int] = {}
-        self.completed: dict[tuple[WorkType, Priority], int] = {}
-        self.completion_samples: dict[tuple[WorkType, Priority], list[float]] = {}
-        self.queue_time_samples: dict[tuple[WorkType, Priority], list[float]] = {}
-        self.arrived_total = 0
-        self.completed_total = 0
-        self.stop_count = 0
-        self.stop_skill = 0
-        self.stop_interrupt = 0
-        self.preemption_count = 0
-        self.reassignment_count = 0
-        self.rework_count = 0
-        self.dead_letter_count = 0
-        self.in_system_integral = 0.0
-        self.busy_integral = 0.0
-        self.daily_team_queue: list[int] = []
-        self.daily_individual_queue: list[int] = []
-        self.daily_queue_by_priority: dict[Priority, list[int]] = {p: [] for p in Priority}
-        self.daily_completion_sum: dict[tuple[WorkType, Priority], list[float]] = {}
-        self.daily_completion_count: dict[tuple[WorkType, Priority], list[int]] = {}
-        self.final_in_queue: dict[tuple[WorkType, Priority], int] = {}
-        self.final_in_service: dict[tuple[WorkType, Priority], int] = {}
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        for name in self.INTEGRALS:
+            setattr(self, name, 0.0)
+        for name in self.CLASS_COUNTS + self.CLASS_SAMPLES + self.CLASS_DAILY:
+            setattr(self, name, {})
+        for name in self.PRIORITY_DAILY:
+            setattr(self, name, {p: [] for p in Priority})
 
     # -- accumulation ------------------------------------------------------------
     def note_arrival(self, key: tuple[WorkType, Priority]) -> None:
         self.arrived[key] = self.arrived.get(key, 0) + 1
-        self.arrived_total += 1
 
     def note_completion(self, key: tuple[WorkType, Priority], days: float, queue_days: float, t: float) -> None:
         # the per-class dicts all gain a key on its first completion
@@ -331,7 +348,6 @@ class DesStats:
             if n_days > 0:
                 self.daily_completion_sum[key] = [0.0] * n_days
                 self.daily_completion_count[key] = [0] * n_days
-        self.completed_total += 1
         if n_days > 0:
             d = int(t)
             if d >= n_days:
@@ -341,8 +357,7 @@ class DesStats:
 
     # -- derived -----------------------------------------------------------------
     def class_keys(self) -> list[tuple[WorkType, Priority]]:
-        keys = set(self.arrived) | set(self.completed)
-        return sorted(keys, key=lambda k: (k[0].value, -int(k[1])))
+        return sorted(set(self.arrived) | set(self.completed), key=class_order)
 
     def mean_completion_days(self, key) -> float | None:
         samples = self.completion_samples.get(key)
@@ -411,6 +426,28 @@ class DesStats:
         return [s / c if c > 0 else None for s, c in zip(sums, counts)]
 
     @property
+    def arrived_total(self) -> int:
+        return sum(self.arrived.values())
+
+    @property
+    def completed_total(self) -> int:
+        return sum(self.completed.values())
+
+    @property
+    def stop_count(self) -> int:
+        return self.stop_skill + self.stop_interrupt + self.preemption_count
+
+    @property
+    def reassignment_count(self) -> int:
+        # a skill stop re-routes its item; a dead letter is routed nowhere
+        return self.stop_skill + self.dead_letter_count
+
+    @property
+    def daily_individual_queue(self) -> list[int]:
+        """Items waiting in engineers' queues at each day boundary."""
+        return [sum(day) for day in zip(*self.daily_queue_by_priority.values())]
+
+    @property
     def total_days(self) -> float:
         return self.horizon * self.replications
 
@@ -436,24 +473,15 @@ class DesStats:
 
     def to_flat_dict(self) -> dict:
         """JSON-compatible flat summary with stable, sorted keys."""
-        out: dict = {
-            "horizon_days": self.horizon,
-            "replications": self.replications,
-            "arrived_total": self.arrived_total,
-            "completed_total": self.completed_total,
-            "stops_total": self.stop_count,
-            "stops_skill": self.stop_skill,
-            "stops_interrupt": self.stop_interrupt,
-            "preemptions": self.preemption_count,
-            "reassignments": self.reassignment_count,
-            "rework_incidents": self.rework_count,
-            "dead_letters": self.dead_letter_count,
-            "completions_per_day": self.completions_per_day,
-            "rework_incidents_per_day": self.rework_per_day,
-            "preemptions_per_day": self.preemptions_per_day,
-            "time_avg_in_system": self.time_avg_in_system,
-            "time_avg_busy_engineers": self.time_avg_busy,
-        }
+        out: dict = {"horizon_days": self.horizon, "replications": self.replications}
+        for counters in (self.DERIVED_COUNTERS, self.COUNTERS):
+            for name, report_key in counters.items():
+                out[report_key] = getattr(self, name)
+        out["completions_per_day"] = self.completions_per_day
+        out["rework_incidents_per_day"] = self.rework_per_day
+        out["preemptions_per_day"] = self.preemptions_per_day
+        out["time_avg_in_system"] = self.time_avg_in_system
+        out["time_avg_busy_engineers"] = self.time_avg_busy
         for key in self.class_keys():
             wt, pr = key
             stem = f"class.{wt.value}.{pr.name.lower()}"
@@ -472,51 +500,29 @@ def merge_stats(a: DesStats, b: DesStats) -> DesStats:
         raise StructuralError("cannot merge stats with different horizons")
     out = DesStats(a.horizon)
     out.replications = a.replications + b.replications
+    for name in (*DesStats.COUNTERS, *DesStats.INTEGRALS):
+        setattr(out, name, getattr(a, name) + getattr(b, name))
+    for name in DesStats.PRIORITY_DAILY:
+        sa, sb = getattr(a, name), getattr(b, name)
+        setattr(out, name, {p: [x + y for x, y in zip(sa[p], sb[p])] for p in Priority})
+    # a's classes first, then b's new ones, so dict and sample orders are fixed
     for src in (a, b):
-        for key, v in src.arrived.items():
-            out.arrived[key] = out.arrived.get(key, 0) + v
-        for key, v in src.completed.items():
-            out.completed[key] = out.completed.get(key, 0) + v
-        for key, v in src.completion_samples.items():
-            out.completion_samples.setdefault(key, []).extend(v)
-        for key, v in src.queue_time_samples.items():
-            out.queue_time_samples.setdefault(key, []).extend(v)
-        for key, v in src.final_in_queue.items():
-            out.final_in_queue[key] = out.final_in_queue.get(key, 0) + v
-        for key, v in src.final_in_service.items():
-            out.final_in_service[key] = out.final_in_service.get(key, 0) + v
-    out.arrived_total = a.arrived_total + b.arrived_total
-    out.completed_total = a.completed_total + b.completed_total
-    out.stop_count = a.stop_count + b.stop_count
-    out.stop_skill = a.stop_skill + b.stop_skill
-    out.stop_interrupt = a.stop_interrupt + b.stop_interrupt
-    out.preemption_count = a.preemption_count + b.preemption_count
-    out.reassignment_count = a.reassignment_count + b.reassignment_count
-    out.rework_count = a.rework_count + b.rework_count
-    out.dead_letter_count = a.dead_letter_count + b.dead_letter_count
-    out.in_system_integral = a.in_system_integral + b.in_system_integral
-    out.busy_integral = a.busy_integral + b.busy_integral
-    if len(a.daily_team_queue) != len(b.daily_team_queue):
-        raise StructuralError("cannot merge stats with different sampling grids")
-    out.daily_team_queue = [x + y for x, y in zip(a.daily_team_queue, b.daily_team_queue)]
-    out.daily_individual_queue = [
-        x + y for x, y in zip(a.daily_individual_queue, b.daily_individual_queue)
-    ]
-    for p in Priority:
-        out.daily_queue_by_priority[p] = [
-            x + y for x, y in zip(a.daily_queue_by_priority[p], b.daily_queue_by_priority[p])
-        ]
-    for src in (a, b):
-        for key, sums in src.daily_completion_sum.items():
-            if key not in out.daily_completion_sum:
-                out.daily_completion_sum[key] = [0.0] * out.n_days
-                out.daily_completion_count[key] = [0] * out.n_days
-            osum = out.daily_completion_sum[key]
-            ocnt = out.daily_completion_count[key]
-            cnts = src.daily_completion_count[key]
-            for i in range(len(sums)):
-                osum[i] += sums[i]
-                ocnt[i] += cnts[i]
+        for name in DesStats.CLASS_COUNTS:
+            acc = getattr(out, name)
+            for key, v in getattr(src, name).items():
+                acc[key] = acc.get(key, 0) + v
+        for name in DesStats.CLASS_SAMPLES:
+            acc = getattr(out, name)
+            for key, v in getattr(src, name).items():
+                acc.setdefault(key, []).extend(v)
+        for name in DesStats.CLASS_DAILY:
+            acc = getattr(out, name)
+            for key, v in getattr(src, name).items():
+                if key not in acc:
+                    acc[key] = [0] * out.n_days
+                series = acc[key]
+                for i in range(len(v)):
+                    series[i] += v[i]
     return out
 
 
@@ -609,10 +615,6 @@ class DesEngine:
         # is the sum of its counts
         st = self.stats
         own = [sum(col) for col in zip(*[srv.queue.counts() for srv in self.servers])]
-        # work is routed the instant it enters, so nothing waits at team
-        # level at a day boundary; the series is kept for its report column
-        st.daily_team_queue.append(0)
-        st.daily_individual_queue.append(sum(own))
         for p, series in st.daily_queue_by_priority.items():
             series.append(own[p])
 
@@ -657,11 +659,9 @@ class DesEngine:
         done = (t - srv.seg_start) * srv.seg_rate
         item.remaining_service_hours = max(0.0, item.remaining_service_hours - done)
         item.stop_count += 1
-        self.stats.stop_count += 1
         if seg == _SEG_SKILL_STOP:
             # insufficient skill surfaced mid-service: route the item afresh
             self.stats.stop_skill += 1
-            self.stats.reassignment_count += 1
             if self.log is not None:
                 self.log.append((t, "stop", item.id, srv.engineer.id, "skill"))
             self._route(item, t)
@@ -695,7 +695,6 @@ class DesEngine:
     # -- dispatch ---------------------------------------------------------------
     def _dead_letter(self, item: WorkItem, t: float) -> None:
         self.stats.dead_letter_count += 1
-        self.stats.reassignment_count += 1
         self.n_in_system -= 1
         if self.log is not None:
             self.log.append((t, "dead_letter", item.id, -1, item.required.skill_type))
@@ -710,7 +709,6 @@ class DesEngine:
             max(0.0, cur.remaining_service_hours - done) + self.cfg.switch_penalty_hours
         )
         cur.stop_count += 1
-        self.stats.stop_count += 1
         self.stats.preemption_count += 1
         if self.log is not None:
             self.log.append((t, "stop", cur.id, srv.engineer.id, "preempt"))

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-from .des import DesModifiers, DesStats, EventRecord, run_des
+from .des import DesModifiers, DesStats, EventRecord, class_order, run_des
 from .domain import Priority, WorkType
 from .errors import ConfigurationError
 from .sd import SdParams, SdState, SdTrajectory, run_sd
@@ -171,10 +171,7 @@ class HybridReport:
 
 
 def _diff_series(cur: DesStats, base: DesStats) -> dict:
-    keys = sorted(
-        set(cur.daily_completion_sum) | set(base.daily_completion_sum),
-        key=lambda k: (k[0].value, -int(k[1])),
-    )
+    keys = sorted(set(cur.daily_completion_sum) | set(base.daily_completion_sum), key=class_order)
     out = {}
     for key in keys:
         a = cur.daily_mean_completion(key)

@@ -5,7 +5,6 @@ from .report import (
     emit_fit_report,
     emit_hybrid_report,
     emit_sd_report,
-    write_event_log,
     write_event_log_ndjson,
 )
 from .scenario import (
@@ -54,6 +53,5 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "synth_spec_from_dict",
-    "write_event_log",
     "write_event_log_ndjson",
 ]

@@ -6,7 +6,8 @@ yields byte-identical files.  CSV columns with no value render as empty
 fields.  The CSV and event-log writers stream one line per record to the
 open file, so no joined copy of a whole file is built in memory, and an
 ``EventLogSink`` writes each run's event log the moment that run ends, so
-no more than one run's log need be held at a time.
+no more than one run's log need be held at a time.  Event logs have one
+encoding, NDJSON, for every command.
 """
 from __future__ import annotations
 
@@ -14,17 +15,15 @@ import json
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..des import DesStats, EventRecord, format_event
+from ..des import DesStats, EventRecord
 from ..domain import Priority
 from ..errors import ConfigurationError
 from ..hybrid import HybridReport
 from ..sd import SdAux, SdState, SdTrajectory
 
 FORMATS = ("json", "csv")
-
-EVENT_LOG_HEADER = "time,event_kind,item_id,engineer_id,detail"
 
 
 def _sig6(x: float) -> float:
@@ -60,13 +59,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
         f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-def write_event_log(log: Iterable[EventRecord], path: Path) -> None:
-    """Stream the CSV event log, one ``format_event`` line per record."""
-    with path.open("w") as f:
-        f.write(EVENT_LOG_HEADER + "\n")
-        f.writelines(format_event(rec) + "\n" for rec in log)
-
-
 def format_event_ndjson(rec: EventRecord) -> str:
     """One NDJSON line, equal to ``json.dumps`` of the record with ``sort_keys``.
 
@@ -92,48 +84,36 @@ def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
 class EventLogSink:
     """Writes each run's event log to ``out_dir`` as soon as the run ends.
 
-    ``sink(k, log)`` writes run ``k``'s log to ``name.format(k)`` and keeps
-    no reference to it.  ``paths`` lists the files written, in call order:
-    the report emitters list the logs from it, never from a directory
-    listing, so files left in ``out_dir`` by an earlier run are not
-    reported.  Making a sink creates ``out_dir``, so an unusable directory
-    fails before any run starts.
+    ``sink(k, log)`` writes run ``k``'s log as NDJSON to ``name.format(k)``
+    and keeps no reference to it; an empty log gets no file.  ``paths``
+    lists the files written, in call order: the report emitters list the
+    logs from it, never from a directory listing, so files left in
+    ``out_dir`` by an earlier run are not reported.  Making a sink creates
+    ``out_dir``, so an unusable directory fails before any run starts.
     """
 
-    def __init__(
-        self,
-        out_dir: Path,
-        name: str,
-        write: Callable[[Iterable[EventRecord], Path], None],
-        skip_empty: bool,
-    ) -> None:
+    def __init__(self, out_dir: Path, name: str) -> None:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._name = name
-        self._write = write
-        self._skip_empty = skip_empty
         self.paths: list[Path] = []
 
     def __call__(self, k: int, log: Sequence[EventRecord]) -> None:
-        if self._skip_empty and not log:
+        if not log:
             return
         p = self.out_dir / self._name.format(k)
-        self._write(log, p)
+        write_event_log_ndjson(log, p)
         self.paths.append(p)
 
 
 def des_log_sink(out_dir: Path, replications: int) -> EventLogSink:
-    """CSV logs: ``eventlog.csv`` for a single replication, else ``eventlog_rep{k}.csv``.
-
-    Every log gets a file, with its header even when the log is empty.
-    """
-    name = "eventlog.csv" if replications == 1 else "eventlog_rep{}.csv"
-    return EventLogSink(out_dir, name, write_event_log, skip_empty=False)
+    """Logs named ``eventlog.ndjson`` for a single replication, else ``eventlog_rep{k}.ndjson``."""
+    return EventLogSink(out_dir, "eventlog.ndjson" if replications == 1 else "eventlog_rep{}.ndjson")
 
 
 def hybrid_log_sink(out_dir: Path) -> EventLogSink:
-    """NDJSON logs named ``eventlog_cycle{k}.ndjson``; a cycle with an empty log gets no file."""
-    return EventLogSink(out_dir, "eventlog_cycle{}.ndjson", write_event_log_ndjson, skip_empty=True)
+    """Logs named ``eventlog_cycle{k}.ndjson``."""
+    return EventLogSink(out_dir, "eventlog_cycle{}.ndjson")
 
 
 def _check_format(fmt: str) -> None:
@@ -171,20 +151,13 @@ def emit_des_report(
     written.append(p)
 
     reps = stats.replications
-    rows = []
-    for i in range(len(stats.daily_team_queue)):
-        rows.append(
-            (
-                i + 1,
-                stats.daily_team_queue[i] / reps,
-                stats.daily_individual_queue[i] / reps,
-                stats.daily_queue_by_priority[Priority.P1][i] / reps,
-                stats.daily_queue_by_priority[Priority.P2][i] / reps,
-                stats.daily_queue_by_priority[Priority.P3][i] / reps,
-            )
-        )
+    by_priority = [stats.daily_queue_by_priority[pr] for pr in (Priority.P1, Priority.P2, Priority.P3)]
+    rows = (
+        (day0 + 1, *(n / reps for n in counts))
+        for day0, counts in enumerate(zip(stats.daily_individual_queue, *by_priority))
+    )
     p = out_dir / "queue_lengths.csv"
-    write_csv(p, ("day", "team_queue", "individual_queues", "p1", "p2", "p3"), rows)
+    write_csv(p, ("day", "individual_queues", "p1", "p2", "p3"), rows)
     written.append(p)
 
     if log_sink is None:

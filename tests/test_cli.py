@@ -107,7 +107,7 @@ class TestDesCommand:
         for d in (d1, d2):
             res = run_cli("des", "default", "--horizon", "30", "--out", str(d))
             assert res.returncode == 0
-        for name in ("summary.json", "queue_lengths.csv", "eventlog.csv"):
+        for name in ("summary.json", "queue_lengths.csv", "eventlog.ndjson"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
@@ -193,14 +193,14 @@ class TestOutDirectory:
     def test_des_replication_logs_match_golden(self, tmp_path):
         res = run_cli("des", "default", "--reps", "2", "--out", str(tmp_path))
         assert res.returncode == 0
-        names = ["summary.json", "queue_lengths.csv", "eventlog_rep0.csv", "eventlog_rep1.csv"]
+        names = ["summary.json", "queue_lengths.csv", "eventlog_rep0.ndjson", "eventlog_rep1.ndjson"]
         assert res.stdout.splitlines() == [str(tmp_path / n) for n in names]
-        assert _files_sha(tmp_path.glob("eventlog_rep*.csv")) == GOLDEN["des-report-reps"]
+        assert _files_sha(tmp_path.glob("eventlog_rep*.ndjson")) == GOLDEN["des-report-reps"]
 
-    def test_single_replication_writes_eventlog_csv(self, tmp_path):
+    def test_single_replication_writes_eventlog_ndjson(self, tmp_path):
         res = run_cli("des", "default", "--reps", "1", "--horizon", "20", "--out", str(tmp_path))
         assert res.returncode == 0
-        assert res.stdout.splitlines()[-1] == str(tmp_path / "eventlog.csv")
+        assert res.stdout.splitlines()[-1] == str(tmp_path / "eventlog.ndjson")
         assert not list(tmp_path.glob("eventlog_rep*"))
 
     def test_memory_holds_one_cycle_log(self, tmp_path, monkeypatch, capsys):

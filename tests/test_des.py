@@ -16,9 +16,9 @@ from teamsim.des import (
     DesConfig,
     DesEngine,
     DesModifiers,
+    DesStats,
     EventCalendar,
     GeneratorConfig,
-    format_event,
     merge_stats,
     run_des,
     run_des_replicated,
@@ -327,20 +327,20 @@ class TestRunProperties:
         cfg = mm1_config()
         s1, l1 = run_des(cfg, seed=42, horizon=200.0)
         s2, l2 = run_des(cfg, seed=42, horizon=200.0)
-        assert [format_event(r) for r in l1] == [format_event(r) for r in l2]
+        assert l1 == l2
         assert s1.to_flat_dict() == s2.to_flat_dict()
 
     def test_different_seeds_differ(self):
         cfg = mm1_config()
         _, l1 = run_des(cfg, seed=1, horizon=200.0)
         _, l2 = run_des(cfg, seed=2, horizon=200.0)
-        assert [format_event(r) for r in l1] != [format_event(r) for r in l2]
+        assert l1 != l2
 
     def test_identity_modifiers_change_nothing(self):
         cfg = mm1_config()
         _, l1 = run_des(cfg, seed=7, horizon=300.0)
         _, l2 = run_des(cfg, modifiers=DesModifiers.identity(), seed=7, horizon=300.0)
-        assert [format_event(r) for r in l1] == [format_event(r) for r in l2]
+        assert l1 == l2
 
     def test_zero_rate_generator_produces_nothing(self):
         cfg = single_class_config(daily_rate=0.0)
@@ -388,7 +388,7 @@ class TestRunProperties:
     def test_daily_queue_series_lengths(self):
         stats, _ = run_des(mm1_config(), seed=5, horizon=126.0)
         assert stats.n_days == 126
-        assert len(stats.daily_team_queue) == 126
+        assert len(stats.daily_individual_queue) == 126
         assert len(stats.daily_queue_by_priority[Priority.P3]) == 126
 
 
@@ -519,6 +519,44 @@ class TestMergeAndReplication:
         manual = merge_stats(merge_stats(parts[0], parts[1]), parts[2])
         assert merged.to_flat_dict() == manual.to_flat_dict()
         assert merged.replications == 3
+
+
+def _by_key(parts, combine):
+    # one entry per key of any part, combining the parts that have it, in order
+    keys = dict.fromkeys(k for p in parts for k in p)
+    return {k: combine([p[k] for p in parts if k in p]) for k in keys}
+
+
+def _daywise_sum(series):
+    return [sum(day) for day in zip(*series)]
+
+
+# how replications pool each declared kind of DesStats accumulator, spelled
+# out independently of merge_stats
+_FOLDS = {
+    "COUNTERS": sum,
+    "INTEGRALS": sum,
+    "CLASS_COUNTS": lambda parts: _by_key(parts, sum),
+    "CLASS_SAMPLES": lambda parts: _by_key(parts, lambda vs: [x for v in vs for x in v]),
+    "CLASS_DAILY": lambda parts: _by_key(parts, _daywise_sum),
+    "PRIORITY_DAILY": lambda parts: _by_key(parts, _daywise_sum),
+}
+
+
+class TestStatsDeclaration:
+    def test_every_stored_field_is_a_declared_accumulator(self):
+        declared = {name for kind in _FOLDS for name in getattr(DesStats, kind)}
+        assert set(vars(DesStats(10.0))) == declared | {"horizon", "replications", "n_days"}
+
+    def test_merge_folds_each_accumulator_by_its_kind(self):
+        mods = DesModifiers(rework_multiplier=1.5, capacity_factor=0.9, interrupt_rate=0.6)
+        parts = [run_des(two_skill_config(), mods, seed=s, horizon=60.0)[0] for s in (1, 2, 3)]
+        merged = merge_stats(merge_stats(parts[0], parts[1]), parts[2])
+        for kind, fold in _FOLDS.items():
+            for name in getattr(DesStats, kind):
+                # floats add left to right, as sum() does after its exact 0 + first
+                assert getattr(merged, name) == fold([getattr(p, name) for p in parts]), name
+        assert merged.stop_count > 0 and merged.dead_letter_count > 0 and merged.rework_count > 0
 
 
 # hypothesis: arbitrary small workloads never break conservation or ordering

