@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,6 +35,7 @@ from .domain import (
     WorkItem,
     WorkType,
     queue_key,
+    trusted_item,
     WorkQueue,
 )
 from .errors import ConfigurationError, StructuralError
@@ -63,8 +65,11 @@ def sample_interarrival(rate: float, rng) -> float:
 
 
 def sample_exponential_hours(mean_hours: float, rng) -> float:
-    if mean_hours <= 0.0 or not math.isfinite(mean_hours):
-        raise ConfigurationError(f"service mean must be positive and finite, got {mean_hours}")
+    """Strictly positive exponential variate with the given mean.
+
+    The mean is not checked here, on every draw: each caller's config
+    validation has already required it to be positive and finite.
+    """
     u = rng.random()
     while u <= 0.0:
         u = rng.random()
@@ -74,9 +79,10 @@ def sample_exponential_hours(mean_hours: float, rng) -> float:
 def _check_mix(mix, what: str) -> None:
     if len(mix) != 3:
         raise ConfigurationError(f"{what}: expected three probabilities, got {len(mix)}")
-    if any(p < 0.0 for p in mix):
-        raise ConfigurationError(f"{what}: negative probability")
-    if abs(sum(mix) - 1.0) > _MIX_TOL:
+    # written so that a NaN entry fails both tests
+    if not all(p >= 0.0 for p in mix):
+        raise ConfigurationError(f"{what}: negative or NaN probability")
+    if not abs(sum(mix) - 1.0) <= _MIX_TOL:
         raise ConfigurationError(f"{what}: probabilities sum to {sum(mix)!r}, not 1")
 
 
@@ -85,11 +91,16 @@ def _priority_index(priority: Priority) -> int:
     return int(Priority.P1) - int(priority)
 
 
-def _sample_priority(mix, rng) -> Priority:
+def _priority_cuts(mix) -> tuple[float, float]:
+    """The P1 cut and the P1+P2 cut that ``_sample_priority`` compares against."""
+    return mix[0], mix[0] + mix[1]
+
+
+def _sample_priority(p1_cut: float, p12_cut: float, rng) -> Priority:
     u = rng.random()
-    if u < mix[0]:
+    if u < p1_cut:
         return Priority.P1
-    if u < mix[0] + mix[1]:
+    if u < p12_cut:
         return Priority.P2
     return Priority.P3
 
@@ -115,38 +126,64 @@ class GeneratorConfig:
         _check_mix(self.priority_mix, f"{name}.priority_mix")
         if len(self.service_mean_hours) != 3:
             raise ConfigurationError(f"{name}: need three service means (P1, P2, P3)")
+        # P3 takes every draw at or above the P1+P2 cut, and float rounding can
+        # leave that cut below 1 even when P3's own probability is 0
+        p3_drawable = _priority_cuts(self.priority_mix)[1] < 1.0
         for pr, mean in zip((Priority.P1, Priority.P2, Priority.P3), self.service_mean_hours):
-            if self.priority_mix[_priority_index(pr)] > 0.0 and mean <= 0.0:
+            if not math.isfinite(mean):
+                raise ConfigurationError(f"{name}: service mean for {pr.name} must be finite")
+            drawable = self.priority_mix[_priority_index(pr)] > 0.0 or (
+                pr is Priority.P3 and p3_drawable
+            )
+            if drawable and mean <= 0.0:
                 raise ConfigurationError(f"{name}: service mean for {pr.name} must be positive")
         if not self.skill_mix:
             raise ConfigurationError(f"{name}: empty skill_mix")
         total = sum(p for _, p in self.skill_mix)
-        if any(p < 0.0 for _, p in self.skill_mix) or abs(total - 1.0) > _MIX_TOL:
+        if not all(p >= 0.0 for _, p in self.skill_mix) or not abs(total - 1.0) <= _MIX_TOL:
             raise ConfigurationError(f"{name}: skill_mix probabilities must be >= 0 and sum to 1")
 
     def mean_for(self, priority: Priority) -> float:
         return self.service_mean_hours[_priority_index(priority)]
 
-    def sample_item(self, now: float, rng, item_id: int) -> WorkItem:
-        # fixed draw order: priority, skill, service demand
-        priority = _sample_priority(self.priority_mix, rng)
-        u = rng.random()
+
+class ArrivalPlan:
+    """A validated generator's arrival sampling, worked out once.
+
+    Each item draws, in this fixed order, its priority, its required skill
+    and its service demand.  The cuts are the floats those draws compare
+    against: ``mix[0]`` and ``mix[0] + mix[1]`` for the priority, and the
+    running sums of the skill mix, added left to right from 0.0.  They are
+    the numbers a per-draw walk of the mixes would add up, so every draw
+    picks the same outcome.
+    """
+
+    __slots__ = ("work_type", "daily_rate", "p1_cut", "p12_cut", "means", "skill_cuts", "skills")
+
+    def __init__(self, gen: GeneratorConfig) -> None:
+        self.work_type = gen.work_type
+        self.daily_rate = gen.daily_rate
+        self.p1_cut, self.p12_cut = _priority_cuts(gen.priority_mix)
+        self.means = [0.0] * (max(Priority) + 1)  # indexed by int(priority)
+        for pr in Priority:
+            self.means[pr] = gen.mean_for(pr)
+        self.skill_cuts = []
         acc = 0.0
-        required = self.skill_mix[-1][0]
-        for spec, p in self.skill_mix:
+        for _, p in gen.skill_mix:
             acc += p
-            if u < acc:
-                required = spec
-                break
-        service = sample_exponential_hours(self.mean_for(priority), rng)
-        return WorkItem(
-            id=item_id,
-            work_type=self.work_type,
-            priority=priority,
-            required=required,
-            service_demand_hours=service,
-            arrival_time=now,
-        )
+            self.skill_cuts.append(acc)
+        # a draw at or above the last cut (the sum can end just below 1) takes
+        # the last spec, which the repeated entry at index len(skill_cuts) holds
+        self.skills = [spec for spec, _ in gen.skill_mix] + [gen.skill_mix[-1][0]]
+
+    def sample_item(self, now: float, rng, item_id: int) -> WorkItem:
+        priority = _sample_priority(self.p1_cut, self.p12_cut, rng)
+        # the cuts never decrease, so this is the first spec whose cut exceeds u
+        required = self.skills[bisect_right(self.skill_cuts, rng.random())]
+        service = sample_exponential_hours(self.means[priority], rng)
+        # validation made every drawable mean positive and finite, so the
+        # demand is positive; now >= 0 is the engine's clock
+        return trusted_item(item_id, self.work_type, priority, required, service, now)
 
 
 @dataclass(frozen=True)
@@ -201,21 +238,25 @@ class DesConfig:
             seen.add(eng.id)
         for gen in self.generators:
             gen.validate()
+        # the range tests below are false for NaN, so NaN fails them too
         if not 0.0 <= self.base_error_prob <= 1.0:
             raise ConfigurationError("base_error_prob must lie in [0, 1]")
-        if self.skill_gap_error_boost < 0.0:
-            raise ConfigurationError("skill_gap_error_boost must be >= 0")
-        if not 0.0 <= self.p_stop_skill <= 1.0:
-            raise ConfigurationError("p_stop_skill must lie in [0, 1]")
-        if self.switch_penalty_hours < 0.0:
-            raise ConfigurationError("switch_penalty_hours must be >= 0")
+        if not 0.0 <= self.skill_gap_error_boost < math.inf:
+            raise ConfigurationError("skill_gap_error_boost must be finite and >= 0")
+        # at 1 an item below its engineer's level is stopped on every start, each
+        # stop at a random fraction of what is left: the stops come ever closer
+        # together and the clock never reaches the horizon
+        if not 0.0 <= self.p_stop_skill < 1.0:
+            raise ConfigurationError("p_stop_skill must lie in [0, 1)")
+        if not 0.0 <= self.switch_penalty_hours < math.inf:
+            raise ConfigurationError("switch_penalty_hours must be finite and >= 0")
         _check_mix(self.rework_priority_mix, "rework_priority_mix")
-        if self.rework_service_mean_hours <= 0.0:
-            raise ConfigurationError("rework_service_mean_hours must be positive")
-        if self.interrupt_base_rate < 0.0:
-            raise ConfigurationError("interrupt_base_rate must be >= 0")
-        if self.hours_per_day <= 0.0:
-            raise ConfigurationError("hours_per_day must be positive")
+        if not 0.0 < self.rework_service_mean_hours < math.inf:
+            raise ConfigurationError("rework_service_mean_hours must be positive and finite")
+        if not 0.0 <= self.interrupt_base_rate < math.inf:
+            raise ConfigurationError("interrupt_base_rate must be finite and >= 0")
+        if not 0.0 < self.hours_per_day < math.inf:
+            raise ConfigurationError("hours_per_day must be positive and finite")
         # a declared catalog turns unknown skill types into configuration errors
         # (as opposed to valid types no engineer holds, which dead-letter at runtime)
         if self.skill_types is not None:
@@ -531,23 +572,27 @@ class _Server:
         "index",
         "engineer",
         "queue",
+        "colleague_queues",
         "project_primary",
         "item",
         "seg_start",
-        "seg_rate",
+        "rate",
         "seg_kind",
         "gap_boost",
         "epoch",
     )
 
-    def __init__(self, index: int, engineer: Engineer) -> None:
+    def __init__(self, index: int, engineer: Engineer, rate: float) -> None:
         self.index = index
         self.engineer = engineer
         self.queue = WorkQueue(name=f"engineer[{engineer.id}]")
+        # queues of the other servers of this skill type (queues, not servers,
+        # so that servers hold no reference cycle and die with their engine)
+        self.colleague_queues: list[WorkQueue] = []
         self.project_primary = engineer.affinity is Affinity.PROJECT_PRIMARY
         self.item: WorkItem | None = None
         self.seg_start = 0.0
-        self.seg_rate = 1.0
+        self.rate = rate  # work-hours delivered per elapsed day
         self.seg_kind = _SEG_COMPLETE
         self.gap_boost = False
         self.epoch = 0
@@ -578,15 +623,25 @@ class DesEngine:
         self.calendar = EventCalendar()
         self.stats = DesStats(horizon)
         self.log: list[EventRecord] | None = [] if collect_log else None
-        self.servers = [_Server(i, eng) for i, eng in enumerate(config.engineers)]
+        self.servers = [
+            _Server(i, eng, config.hours_per_day * eng.capacity_factor * modifiers.capacity_factor)
+            for i, eng in enumerate(config.engineers)
+        ]
         self.servers_by_type: dict[str, list[_Server]] = {}
         for srv in self.servers:
             self.servers_by_type.setdefault(srv.engineer.skill.skill_type, []).append(srv)
+        for srv in self.servers:
+            srv.colleague_queues = [
+                other.queue for other in self.servers_by_type[srv.engineer.skill.skill_type]
+                if other is not srv
+            ]
+        self._queue_counts = [srv.queue.priority_counts for srv in self.servers]
+        self.plans = [ArrivalPlan(gen) for gen in config.generators]
+        self._rework_cuts = _priority_cuts(config.rework_priority_mix)
         self.initial_items = list(initial_items) if initial_items else []
         self._id_counter = 0
         self.n_in_system = 0
         self.n_busy = 0
-        self.last_t = 0.0
         self.next_sample_day = 1
 
     def _next_id(self) -> int:
@@ -594,29 +649,19 @@ class DesEngine:
         return self._id_counter
 
     # -- time bookkeeping ----------------------------------------------------
-    def _advance(self, t: float) -> None:
-        if t > self.horizon:
-            t = self.horizon
-        last = self.last_t
-        if t > last:
-            dt = t - last
-            st = self.stats
-            st.in_system_integral += self.n_in_system * dt
-            st.busy_integral += self.n_busy * dt
-            self.last_t = t
-        d = self.next_sample_day
-        while d <= t and d <= self.stats.n_days:
-            self._sample_day()
-            d += 1
-        self.next_sample_day = d
-
-    def _sample_day(self) -> None:
-        # per-priority counts are indexed by int(priority); a queue's length
-        # is the sum of its counts
+    def _sample_days(self, t: float) -> None:
+        # one sample per day boundary d with next_sample_day <= d <= min(t, n_days);
+        # nothing moves between them, so they all read the same counts.  Queue
+        # counts are indexed by int(priority) and read in place, not copied.
         st = self.stats
-        own = [sum(col) for col in zip(*[srv.queue.counts() for srv in self.servers])]
+        last = min(int(t), st.n_days)
+        n = last - self.next_sample_day + 1
+        if n <= 0:
+            return
+        own = [sum(col) for col in zip(*self._queue_counts)]
         for p, series in st.daily_queue_by_priority.items():
-            series.append(own[p])
+            series.extend([own[p]] * n)
+        self.next_sample_day = last + 1
 
     # -- event handlers --------------------------------------------------------
     def _admit(self, item: WorkItem, t: float, kind: str, eng_id: int, detail: str) -> None:
@@ -626,11 +671,10 @@ class DesEngine:
             self.log.append((t, kind, item.id, eng_id, detail))
 
     def _on_arrival(self, t: float, gen_index: int) -> None:
-        gen = self.cfg.generators[gen_index]
-        self.calendar.push(
-            t + sample_interarrival(gen.daily_rate, self.rng), _EV_ARRIVAL, gen_index, 0
-        )
-        item = gen.sample_item(t, self.rng, self._next_id())
+        plan = self.plans[gen_index]
+        rng = self.rng
+        self.calendar.push(t + sample_interarrival(plan.daily_rate, rng), _EV_ARRIVAL, gen_index, 0)
+        item = plan.sample_item(t, rng, self._next_id())
         detail = f"{item.work_type.value}:{item.priority.name}" if self.log is not None else ""
         self._admit(item, t, "arrival", -1, detail)
         self._route(item, t)
@@ -656,7 +700,7 @@ class DesEngine:
                 self.log.append((t, "complete", item.id, srv.engineer.id, f"{days:.6f}"))
             self._maybe_rework(item, t, srv)
             return
-        done = (t - srv.seg_start) * srv.seg_rate
+        done = (t - srv.seg_start) * srv.rate
         item.remaining_service_hours = max(0.0, item.remaining_service_hours - done)
         item.stop_count += 1
         if seg == _SEG_SKILL_STOP:
@@ -678,15 +722,11 @@ class DesEngine:
         p = cfg.base_error_prob * self.modifiers.rework_multiplier * boost
         if p <= 0.0 or self.rng.random() >= min(1.0, p):
             return
-        priority = _sample_priority(cfg.rework_priority_mix, self.rng)
+        priority = _sample_priority(*self._rework_cuts, self.rng)
+        # the mean is validated positive and finite, so the demand is positive
         service = sample_exponential_hours(cfg.rework_service_mean_hours, self.rng)
-        incident = WorkItem(
-            id=self._next_id(),
-            work_type=WorkType.REWORK_INCIDENT,
-            priority=priority,
-            required=item.required,
-            service_demand_hours=service,
-            arrival_time=t,
+        incident = trusted_item(
+            self._next_id(), WorkType.REWORK_INCIDENT, priority, item.required, service, t
         )
         self.stats.rework_count += 1
         self._admit(incident, t, "incident", srv.engineer.id, f"from:{item.id}")
@@ -704,7 +744,7 @@ class DesEngine:
         srv.item = None
         srv.epoch += 1
         self.n_busy -= 1
-        done = (t - srv.seg_start) * srv.seg_rate
+        done = (t - srv.seg_start) * srv.rate
         cur.remaining_service_hours = (
             max(0.0, cur.remaining_service_hours - done) + self.cfg.switch_penalty_hours
         )
@@ -716,23 +756,21 @@ class DesEngine:
 
     def _steal(self, srv: _Server, t: float) -> WorkItem | None:
         # pull the discipline-best compatible waiting item from a colleague
-        best_srv = None
+        best_queue = None
         best_item = None
         best_key = None
-        for other in self.servers_by_type[srv.engineer.skill.skill_type]:
-            if other is srv:
+        for queue in srv.colleague_queues:
+            if not queue.size:
                 continue
-            cand = other.queue.peek()
-            if cand is None:
-                continue
+            cand = queue.peek()
             k = queue_key(cand)
             if best_key is None or k < best_key:
                 best_key = k
-                best_srv = other
+                best_queue = queue
                 best_item = cand
-        if best_srv is None:
+        if best_queue is None:
             return None
-        item = best_srv.queue.remove(best_item.id, t)
+        item = best_queue.remove(best_item.id, t)
         if self.log is not None:
             self.log.append((t, "dispatch", item.id, srv.engineer.id, "steal"))
         return item
@@ -743,12 +781,14 @@ class DesEngine:
         if not cands:
             self._dead_letter(item, t)
             return
+        # (queue length, affinity miss) compared as the one integer
+        # 2 * length + miss, then the lower engineer id
         is_project = item.work_type is WorkType.PROJECT_TASK
-        best = None
-        best_key = None
-        for srv in cands:
-            k = (len(srv.queue), 0 if srv.project_primary == is_project else 1, srv.engineer.id)
-            if best_key is None or k < best_key:
+        best = cands[0]
+        best_key = 2 * best.queue.size + (best.project_primary != is_project)
+        for srv in cands[1:]:
+            k = 2 * srv.queue.size + (srv.project_primary != is_project)
+            if k < best_key or (k == best_key and srv.engineer.id < best.engineer.id):
                 best_key = k
                 best = srv
         if self.log is not None:
@@ -772,9 +812,7 @@ class DesEngine:
             return
         for srv in servers:
             if srv.item is None:
-                nxt = srv.queue.pop_best(t)
-                if nxt is None:
-                    nxt = self._steal(srv, t)
+                nxt = srv.queue.pop_best(t) if srv.queue.size else self._steal(srv, t)
                 if nxt is not None:
                     self._start_service(srv, nxt, t)
                     waiting -= 1
@@ -783,8 +821,7 @@ class DesEngine:
 
     def _start_service(self, srv: _Server, item: WorkItem, t: float) -> None:
         eng = srv.engineer
-        rate = self.cfg.hours_per_day * eng.capacity_factor * self.modifiers.capacity_factor
-        duration = item.remaining_service_hours / rate
+        duration = item.remaining_service_hours / srv.rate
         end = t + duration
         seg_kind = _SEG_COMPLETE
         gap_boost = False
@@ -803,7 +840,6 @@ class DesEngine:
                 seg_kind = _SEG_INTERRUPT
         srv.item = item
         srv.seg_start = t
-        srv.seg_rate = rate
         srv.seg_kind = seg_kind
         srv.gap_boost = gap_boost
         srv.epoch += 1
@@ -832,20 +868,33 @@ class DesEngine:
                 )
         pop = self.calendar.pop
         horizon = self.horizon
+        st = self.stats
+        n_servers = len(self.servers)
+        last = 0.0  # time up to which the integrals are taken
         while True:
             ev = pop()
+            if ev is None or ev[0] > horizon:
+                # the run ends: this last pass integrates and samples up to the horizon
+                ev = None
+                t = horizon
+            else:
+                t, _, kind, a, b = ev
+            if t > last:
+                dt = t - last
+                st.in_system_integral += self.n_in_system * dt
+                st.busy_integral += self.n_busy * dt
+                last = t
+            if t >= self.next_sample_day:
+                self._sample_days(t)
             if ev is None:
                 break
-            t, _, kind, a, b = ev
-            if t > horizon:
-                break
-            self._advance(t)
             if kind == _EV_ARRIVAL:
                 self._on_arrival(t, a)
             else:
                 self._on_service_end(t, a, b)
-            self._dispatch(t)
-        self._advance(self.horizon)
+            # _dispatch's own early-return test, checked here to skip the call
+            if self.n_in_system != self.n_busy and self.n_busy != n_servers:
+                self._dispatch(t)
         self._finalize()
         return self.stats
 

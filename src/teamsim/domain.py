@@ -103,7 +103,8 @@ class WorkItem:
     ``remaining_service_hours`` is the remaining work content; it shrinks
     as service is delivered and grows by the switch penalty when service is
     interrupted.  ``total_queue_days`` sums the lengths of the closed queue
-    episodes, left to right in the order they closed.
+    episodes, left to right in the order they closed.  ``WorkQueue`` opens
+    and closes the episodes.
     """
 
     id: int
@@ -127,24 +128,38 @@ class WorkItem:
         if self.remaining_service_hours < 0.0:
             self.remaining_service_hours = self.service_demand_hours
 
-    # -- queue episode bookkeeping ------------------------------------------------
-    def enter_queue(self, now: float) -> None:
-        if self._queue_entered is not None:
-            raise StructuralError(f"item {self.id} entered a queue while already queued")
-        self._queue_entered = now
-
-    def leave_queue(self, now: float) -> None:
-        entered = self._queue_entered
-        if entered is None:
-            raise StructuralError(f"item {self.id} left a queue it never entered")
-        if now < entered:
-            raise StructuralError(f"item {self.id}: queue episode ends before it starts")
-        self.total_queue_days += now - entered
-        self._queue_entered = None
-
     @property
     def in_queue(self) -> bool:
         return self._queue_entered is not None
+
+
+def trusted_item(
+    item_id: int,
+    work_type: WorkType,
+    priority: Priority,
+    required: SkillSpec,
+    service_demand_hours: float,
+    arrival_time: float,
+) -> WorkItem:
+    """A fresh ``WorkItem`` built without re-running ``__post_init__``.
+
+    For callers whose values already meet its checks: a strictly positive
+    demand and a non-negative arrival time.  The engine's sampled items do,
+    because their service means are validated positive and finite with the
+    config, and every exponential draw is ``-log(u) * mean`` with ``0 < u < 1``.
+    """
+    item = object.__new__(WorkItem)
+    item.id = item_id
+    item.work_type = work_type
+    item.priority = priority
+    item.required = required
+    item.service_demand_hours = service_demand_hours
+    item.arrival_time = arrival_time
+    item.remaining_service_hours = service_demand_hours
+    item.stop_count = 0
+    item.total_queue_days = 0.0
+    item._queue_entered = None
+    return item
 
 
 @dataclass
@@ -168,43 +183,58 @@ def queue_key(item: WorkItem) -> tuple[int, float, int]:
     return (-item.priority, item.arrival_time, item.id)
 
 
+def _close_episode(item: WorkItem, now: float) -> None:
+    entered = item._queue_entered
+    if entered is None:
+        raise StructuralError(f"item {item.id} left a queue it never entered")
+    if now < entered:
+        raise StructuralError(f"item {item.id}: queue episode ends before it starts")
+    item.total_queue_days += now - entered
+    item._queue_entered = None
+
+
 class WorkQueue:
     """Priority-then-FIFO queue with lazy deletion.
 
     Duplicate pushes of the same item id raise ``StructuralError``; the heap
     never compares items directly because the key tuple ends with the unique
-    id.  Per-priority live counts are maintained eagerly so daily sampling
-    stays cheap.  Removed items stay in the heap as tombstones until they
+    id.  ``size`` (the number of live items) and ``priority_counts`` (live
+    items per priority, indexed by ``int(priority)``) are kept eagerly as
+    plain attributes, so the engine reads them without a call; callers must
+    not write them.  Removed items stay in the heap as tombstones until they
     reach the top; ``_removed`` holds their ids.
     """
 
+    __slots__ = ("name", "size", "priority_counts", "_heap", "_index", "_removed")
+
     def __init__(self, name: str = "queue") -> None:
         self.name = name
+        self.size = 0
+        self.priority_counts = [0] * (max(Priority) + 1)
         self._heap: list[tuple[tuple[int, float, int], WorkItem]] = []
         self._index: dict[int, WorkItem] = {}
         self._removed: set[int] = set()
-        self._counts = [0] * (max(Priority) + 1)  # indexed by int(priority)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self.size
 
     def __contains__(self, item_id: int) -> bool:
         return item_id in self._index
 
     def count(self, priority: Priority) -> int:
-        return self._counts[priority]
-
-    def counts(self) -> list[int]:
-        """Live items per priority, indexed by ``int(priority)`` (a copy)."""
-        return self._counts.copy()
+        return self.priority_counts[priority]
 
     def push(self, item: WorkItem, now: float) -> None:
         if item.id in self._index:
             raise StructuralError(f"{self.name}: duplicate push of item {item.id}")
+        # the queue episode opens (``_close_episode`` closes it)
+        if item._queue_entered is not None:
+            raise StructuralError(f"item {item.id} entered a queue while already queued")
+        item._queue_entered = now
         self._index[item.id] = item
-        self._counts[item.priority] += 1
+        self.priority_counts[item.priority] += 1
+        self.size += 1
         heapq.heappush(self._heap, (queue_key(item), item))
-        item.enter_queue(now)
 
     def _discard_tombstones(self) -> None:
         heap = self._heap
@@ -225,8 +255,9 @@ class WorkQueue:
             return None
         item = heapq.heappop(self._heap)[1]
         del self._index[item.id]
-        self._counts[item.priority] -= 1
-        item.leave_queue(now)
+        self.priority_counts[item.priority] -= 1
+        self.size -= 1
+        _close_episode(item, now)
         return item
 
     def remove(self, item_id: int, now: float) -> WorkItem:
@@ -235,8 +266,9 @@ class WorkQueue:
         if item is None:
             raise StructuralError(f"{self.name}: remove of absent item {item_id}")
         self._removed.add(item_id)
-        self._counts[item.priority] -= 1
-        item.leave_queue(now)
+        self.priority_counts[item.priority] -= 1
+        self.size -= 1
+        _close_episode(item, now)
         return item
 
     def items(self) -> list[WorkItem]:

@@ -16,7 +16,13 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Sequence
 
-from ..des import sample_interarrival, sample_exponential_hours, _sample_priority, _check_mix
+from ..des import (
+    sample_interarrival,
+    sample_exponential_hours,
+    _check_mix,
+    _priority_cuts,
+    _sample_priority,
+)
 from ..domain import Priority, WorkType
 from ..errors import ConfigurationError, DataError
 
@@ -230,9 +236,11 @@ class SynthClass:
         if self.daily_rate < 0.0 or not math.isfinite(self.daily_rate):
             raise ConfigurationError(f"synthetic class {self.work_type}: bad daily_rate")
         _check_mix(self.priority_mix, f"synthetic class {self.work_type} priority_mix")
-        if len(self.service_mean_hours) != 3 or any(m <= 0.0 for m in self.service_mean_hours):
+        if len(self.service_mean_hours) != 3 or not all(
+            0.0 < m < math.inf for m in self.service_mean_hours
+        ):
             raise ConfigurationError(
-                f"synthetic class {self.work_type}: need three positive service means"
+                f"synthetic class {self.work_type}: need three positive, finite service means"
             )
 
 
@@ -274,9 +282,10 @@ def generate_synthetic(spec: SynthSpec, seed: int, path: str | Path) -> int:
     for cls in spec.classes:
         if cls.daily_rate <= 0.0:
             continue
+        cuts = _priority_cuts(cls.priority_mix)
         t = sample_interarrival(cls.daily_rate, rng)
         while t <= spec.span_days:
-            priority = _sample_priority(cls.priority_mix, rng)
+            priority = _sample_priority(*cuts, rng)
             mean = cls.service_mean_hours[int(Priority.P1) - int(priority)]
             touch = sample_exponential_hours(mean, rng)
             rows.append((start + timedelta(days=t), cls.work_type, priority.name, touch))

@@ -1,5 +1,6 @@
 """End-to-end command line tests, most through a real subprocess."""
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -93,6 +94,44 @@ class TestValidate:
     def test_bad_flag_value_exits_one(self):
         res = run_cli("des", "default", "--seed", "many")
         assert res.returncode == 1
+
+
+class TestNonFiniteKnobs:
+    """NaN and infinite DES knobs are rejected when the scenario is validated.
+
+    Each of these once reached the engine: a NaN hours_per_day or switch
+    penalty ended in a traceback mid-run, an infinite hours_per_day ran
+    with zero-length service, and a non-finite service mean failed only
+    at its first draw.
+    """
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("des", "hours_per_day"), math.nan, "hours_per_day must be positive and finite"),
+            (("des", "hours_per_day"), math.inf, "hours_per_day must be positive and finite"),
+            (("des", "switch_penalty_hours"), math.nan, "switch_penalty_hours must be finite"),
+            (("des", "rework_service_mean_hours"), math.inf, "rework_service_mean_hours must"),
+            (("des", "skill_gap_error_boost"), math.nan, "skill_gap_error_boost must be finite"),
+            (("des", "interrupt_base_rate"), math.inf, "interrupt_base_rate must be finite"),
+            (("generators", 0, "service_mean_hours", 2), math.inf, "mean for P3 must be finite"),
+            (("generators", 1, "service_mean_hours", 0), math.nan, "mean for P1 must be finite"),
+            (("generators", 2, "priority_mix", 1), math.nan, "priority_mix: negative or NaN"),
+        ],
+    )
+    def test_rejected_with_a_message(self, tmp_path, capsys, path, value, message):
+        p = tmp_path / "sc.yaml"
+        save_scenario(default_scenario(), p)
+        doc = yaml.safe_load(p.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p.write_text(yaml.safe_dump(doc))
+        # a traceback would propagate out of main() and fail the test
+        assert cli.main(["des", str(p), "--horizon", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestDesCommand:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamsim.des import (
+    ArrivalPlan,
     DesConfig,
     DesEngine,
     DesModifiers,
@@ -117,6 +118,34 @@ class TestGeneratorConfig:
         )
         with pytest.raises(ConfigurationError):
             gen2.validate()
+        # P3's own probability is 0, but 0.7 + 0.29999999999 < 1 leaves it
+        # every draw above that cut, so its mean must be positive too
+        gen3 = GeneratorConfig(
+            work_type=WorkType.INCIDENT,
+            daily_rate=1.0,
+            priority_mix=(0.7, 0.29999999999, 0.0),
+            service_mean_hours=(1.0, 1.0, 0.0),
+            skill_mix=((SkillSpec("core", 1), 1.0),),
+        )
+        with pytest.raises(ConfigurationError, match="P3 must be positive"):
+            gen3.validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_means_and_mixes_are_rejected(self, bad):
+        def gen(priority_mix=(0.2, 0.3, 0.5), means=(1.0, 1.0, 1.0), skill_p=1.0):
+            return GeneratorConfig(
+                WorkType.INCIDENT, 1.0, priority_mix, means, ((SkillSpec("core", 1), skill_p),)
+            )
+
+        # a mean is rejected even on a priority the mix never draws
+        for bad_gen in (
+            gen(means=(1.0, bad, 1.0)),
+            gen(priority_mix=(0.0, 0.0, 1.0), means=(bad, 1.0, 1.0)),
+            gen(priority_mix=(0.5, bad, 0.5)),
+            gen(skill_p=bad),
+        ):
+            with pytest.raises(ConfigurationError):
+                bad_gen.validate()
 
     def test_sampled_mix_frequencies(self):
         gen = GeneratorConfig(
@@ -127,11 +156,123 @@ class TestGeneratorConfig:
             skill_mix=((SkillSpec("core", 1), 0.7), (SkillSpec("core", 3), 0.3)),
         )
         rng = random.Random(2)
-        items = [gen.sample_item(0.0, rng, i) for i in range(20_000)]
+        plan = ArrivalPlan(gen)
+        items = [plan.sample_item(0.0, rng, i) for i in range(20_000)]
         frac_p1 = sum(1 for i in items if i.priority is Priority.P1) / len(items)
         frac_l3 = sum(1 for i in items if i.required.skill_level == 3) / len(items)
         assert frac_p1 == pytest.approx(0.2, abs=0.01)
         assert frac_l3 == pytest.approx(0.3, abs=0.01)
+
+
+# A copy of the arrival sampling the engine used before ArrivalPlan: the
+# priority and skill mixes walked, and their sums added, on every draw.
+def _reference_priority(mix, rng):
+    u = rng.random()
+    if u < mix[0]:
+        return Priority.P1
+    if u < mix[0] + mix[1]:
+        return Priority.P2
+    return Priority.P3
+
+
+def _reference_draw(gen, rng):
+    priority = _reference_priority(gen.priority_mix, rng)
+    u = rng.random()
+    acc = 0.0
+    required = gen.skill_mix[-1][0]
+    for spec, p in gen.skill_mix:
+        acc += p
+        if u < acc:
+            required = spec
+            break
+    u = rng.random()
+    while u <= 0.0:
+        u = rng.random()
+    return priority, required, -math.log(u) * gen.mean_for(priority)
+
+
+class _ScriptedRng:
+    """Returns the scripted values first, then a seeded stream."""
+
+    def __init__(self, script, seed):
+        self.script = list(script)
+        self.rest = random.Random(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.script.pop(0) if self.script else self.rest.random()
+
+
+_SPECS = [SkillSpec(t, lvl) for t in ("core", "data") for lvl in (1, 2, 3)]
+_NEXT_BELOW_1 = math.nextafter(1.0, 0.0)
+
+
+@st.composite
+def _mixes(draw):
+    """A validated generator whose mixes may hold zero entries."""
+    def weights(n_min, n_max):
+        ws = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.4, 0.7, 1.0]),
+                           min_size=n_min, max_size=n_max).filter(lambda w: sum(w) > 0))
+        return [w / sum(ws) for w in ws]
+
+    n_skills = draw(st.integers(1, 6))
+    # ten 0.1s add up to just below 1, so draws above that sum fall back to the last spec
+    skill_p = [0.1] * 10 if draw(st.booleans()) else weights(n_skills, n_skills)
+    specs = draw(st.lists(st.sampled_from(_SPECS), min_size=len(skill_p), max_size=len(skill_p)))
+    gen = GeneratorConfig(
+        WorkType.INCIDENT,
+        1.0,
+        tuple(weights(3, 3)),
+        (1.5, 4.0, 9.0),
+        tuple(zip(specs, skill_p)),
+    )
+    gen.validate()
+    return gen
+
+
+class TestArrivalPlan:
+    """The precomputed plan draws exactly what the per-draw walk drew."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen=_mixes(), seed=st.integers(0, 2**32 - 1))
+    def test_same_draws_and_rng_state_as_the_reference(self, gen, seed):
+        plan = ArrivalPlan(gen)
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        for i in range(50):
+            item = plan.sample_item(1.5, rng, i)
+            got = (item.priority, item.required, item.service_demand_hours)
+            assert got == _reference_draw(gen, ref_rng)
+            assert (item.id, item.arrival_time, item.remaining_service_hours) == (i, 1.5, got[2])
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), gen=_mixes())
+    def test_same_draws_on_cut_edges(self, data, gen):
+        # u exactly on a cut, just below 1 (above a sum that ends below 1),
+        # and 0.0, which the demand draw must redraw
+        plan = ArrivalPlan(gen)
+        edges = [0.0, _NEXT_BELOW_1, *plan.skill_cuts, plan.p1_cut, plan.p12_cut]
+        edges = [u for u in edges if 0.0 <= u < 1.0]
+        script = data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=30))
+        ref_rng, rng = _ScriptedRng(script, 7), _ScriptedRng(script, 7)
+        for i in range(12):
+            item = plan.sample_item(0.0, rng, i)
+            got = (item.priority, item.required, item.service_demand_hours)
+            assert got == _reference_draw(gen, ref_rng)
+        assert rng.calls == ref_rng.calls
+
+    def test_sum_just_below_one_falls_back_to_the_last_spec(self):
+        last = SkillSpec("data", 3)
+        gen = GeneratorConfig(
+            WorkType.INCIDENT, 1.0, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+            tuple((SkillSpec("core", 1), 0.1) for _ in range(9)) + ((last, 0.1),),
+        )
+        gen.validate()
+        plan = ArrivalPlan(gen)
+        assert plan.skill_cuts[-1] < 1.0
+        item = plan.sample_item(0.0, _ScriptedRng([0.5, _NEXT_BELOW_1], 1), 1)
+        assert item.required is last
 
 
 class TestCalendar:
@@ -246,6 +387,11 @@ class TestSkillStops:
         cfg.generators[0].skill_mix = ((SkillSpec("core", 3), 1.0),)
         cfg.p_stop_skill = p_stop
         return cfg
+
+    def test_certain_stop_is_rejected(self):
+        # at p = 1 the stops of a gap item converge in time and the run hangs
+        with pytest.raises(ConfigurationError, match=r"p_stop_skill must lie in \[0, 1\)"):
+            run_des(self._gap_config(1.0), seed=2, horizon=5.0)
 
     def test_no_stop_probability_no_stops(self):
         stats, _ = run_des(self._gap_config(0.0), seed=2, horizon=500.0)
@@ -393,25 +539,54 @@ class TestRunProperties:
 
 
 class CheckedEngine(DesEngine):
-    """Asserts after every dispatch that no engineer idles beside waiting work.
+    """Asserts after every event that no engineer idles beside waiting work.
 
     An idle engineer's own queue must be empty, and so must the queue of
     every colleague of the same skill type (it could have stolen from
     them).  This is what makes a single start pass in ``_dispatch`` enough.
     Every item in the system is in service or in a queue: ``_dispatch``
-    stops once ``n_in_system - n_busy`` items have started.
+    stops once ``n_in_system - n_busy`` items have started, and the run
+    loop calls it only when that difference is nonzero and some engineer
+    is free.  So the identity is asserted straight after every event
+    handler too, and after an event the loop does not dispatch on, the
+    idle check runs there; ``checked_events`` counts the events whose
+    final state was checked.
     """
 
+    events = 0
+    checked_events = 0
     dispatches = 0
     idle_checks = 0
+
+    def _on_arrival(self, t: float, gen_index: int) -> None:
+        super()._on_arrival(t, gen_index)
+        self._after_handler(t)
+
+    def _on_service_end(self, t: float, server_index: int, epoch: int) -> None:
+        super()._on_service_end(t, server_index, epoch)
+        self._after_handler(t)
+
+    def _after_handler(self, t: float) -> None:
+        assert self.checked_events == self.events, f"t={t}: the previous event went unchecked"
+        self.events += 1
+        self._check_identity(t)
+        if self.n_in_system == self.n_busy or self.n_busy == len(self.servers):
+            self._check_no_idle(t)
 
     def _dispatch(self, t: float) -> None:
         super()._dispatch(t)
         self.dispatches += 1
+        self._check_identity(t)
+        self._check_no_idle(t)
+
+    def _check_identity(self, t: float) -> None:
         queued = sum(len(srv.queue) for srv in self.servers)
         assert self.n_in_system - self.n_busy == queued, (
             f"t={t}: {self.n_in_system} in system, {self.n_busy} busy, {queued} queued"
         )
+
+    def _check_no_idle(self, t: float) -> None:
+        self.checked_events = self.events
         for srv in self.servers:
             if srv.item is not None:
                 continue
@@ -428,6 +603,7 @@ class TestWorkConservingDispatch:
         engine = CheckedEngine(cfg, modifiers, seed, horizon)
         stats = engine.run()
         assert engine.dispatches > 0 and engine.idle_checks > 0
+        assert engine.checked_events == engine.events > engine.dispatches
         # the subclass only observes: same output as the public entry point
         ref, log = run_des(cfg, modifiers, seed=seed, horizon=horizon)
         assert engine.log == log and stats.to_flat_dict() == ref.to_flat_dict()
@@ -557,6 +733,60 @@ class TestStatsDeclaration:
                 # floats add left to right, as sum() does after its exact 0 + first
                 assert getattr(merged, name) == fold([getattr(p, name) for p in parts]), name
         assert merged.stop_count > 0 and merged.dead_letter_count > 0 and merged.rework_count > 0
+
+
+# hypothesis: teams of several skill types.  "data" has a single engineer, so
+# its work is routed to the one candidate and never stolen; nobody holds "ml",
+# so that work is dead-lettered; levels leave skill gaps, so items stop and
+# re-route.
+# Bounds: 40 examples of at most 40 days, under a second in all.
+@settings(max_examples=40, deadline=None)
+@given(
+    core_levels=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    data_level=st.integers(1, 3),
+    rates=st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=1, max_size=3),
+    weights=st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5]), min_size=3, max_size=3).filter(sum),
+    p_stop=st.sampled_from([0.0, 0.3, 0.9]),
+    interrupt_rate=st.sampled_from([0.0, 0.8]),
+    horizon=st.floats(min_value=5.0, max_value=40.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_engine_invariants_hold_for_several_skill_types(
+    core_levels, data_level, rates, weights, p_stop, interrupt_rate, horizon, seed
+):
+    affinities = (Affinity.PROJECT_PRIMARY, Affinity.OPERATIONAL_PRIMARY)
+    engineers = [
+        Engineer(i, SkillSpec("core", lvl), affinities[i % 2]) for i, lvl in enumerate(core_levels)
+    ]
+    engineers.append(Engineer(9, SkillSpec("data", data_level), Affinity.OPERATIONAL_PRIMARY))
+    total = sum(weights)
+    core_p, data_p, ml_p = (w / total for w in weights)
+    skill_mix = (
+        (SkillSpec("core", 3), core_p / 2),
+        (SkillSpec("core", 1), core_p / 2),
+        (SkillSpec("data", 2), data_p),
+        (SkillSpec("ml", 1), ml_p),
+    )
+    kinds = (WorkType.PROJECT_TASK, WorkType.INCIDENT, WorkType.SERVICE_REQUEST)
+    generators = [
+        GeneratorConfig(kinds[i], rate, (0.2, 0.3, 0.5), (2.0, 4.0, 8.0), skill_mix)
+        for i, rate in enumerate(rates)
+    ]
+    cfg = DesConfig(generators=generators, engineers=engineers, base_error_prob=0.1,
+                    p_stop_skill=p_stop, switch_penalty_hours=0.5)
+    mods = DesModifiers(interrupt_rate=interrupt_rate)
+    engine = CheckedEngine(cfg, mods, seed, horizon)
+    stats = engine.run()
+    log = engine.log
+    assert stats.arrived_total == (
+        stats.completed_total + stats.dead_letter_count + still_in_system(stats)
+    )
+    dead = [rec for rec in log if rec[1] == "dead_letter"]
+    assert len(dead) == stats.dead_letter_count and all(rec[4] == "ml" for rec in dead)
+    times = [rec[0] for rec in log]
+    assert times == sorted(times)
+    again, log_again = run_des(cfg, mods, seed=seed, horizon=horizon)
+    assert log_again == log and again.to_flat_dict() == stats.to_flat_dict()
 
 
 # hypothesis: arbitrary small workloads never break conservation or ordering

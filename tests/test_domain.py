@@ -11,6 +11,7 @@ from teamsim.domain import (
     WorkQueue,
     WorkType,
     queue_key,
+    trusted_item,
 )
 from teamsim.errors import ConfigurationError, StructuralError
 
@@ -78,31 +79,47 @@ class TestWorkItem:
         with pytest.raises(ConfigurationError):
             make_item(1, arrival=-0.1)
 
+    # queue episodes open on WorkQueue.push and close on pop_best or remove
+
     def test_queue_episode_accounting(self):
         item = make_item(1)
-        item.enter_queue(1.0)
+        q = WorkQueue()
+        q.push(item, now=1.0)
         assert item.in_queue
-        item.leave_queue(3.5)
-        item.enter_queue(4.0)
-        item.leave_queue(4.0)
+        q.pop_best(3.5)
+        q.push(item, now=4.0)
+        q.remove(1, now=4.0)
         assert item.total_queue_days == pytest.approx(2.5)
         assert not item.in_queue
 
     def test_double_enter_is_structural(self):
         item = make_item(1)
-        item.enter_queue(0.0)
-        with pytest.raises(StructuralError):
-            item.enter_queue(1.0)
+        WorkQueue().push(item, now=0.0)
+        with pytest.raises(StructuralError, match="already queued"):
+            WorkQueue().push(item, now=1.0)
 
     def test_leave_without_enter_is_structural(self):
-        with pytest.raises(StructuralError):
-            make_item(1).leave_queue(1.0)
+        # not reachable through the queue's own calls: the episode is cleared
+        # by hand to show that both ways out still check it
+        for leave in (lambda q: q.pop_best(1.0), lambda q: q.remove(1, 1.0)):
+            item = make_item(1)
+            q = WorkQueue()
+            q.push(item, now=0.0)
+            item._queue_entered = None
+            with pytest.raises(StructuralError, match="never entered"):
+                leave(q)
 
     def test_leave_before_enter_is_structural(self):
-        item = make_item(1)
-        item.enter_queue(2.0)
-        with pytest.raises(StructuralError):
-            item.leave_queue(1.0)
+        for leave in (lambda q: q.pop_best(1.0), lambda q: q.remove(1, 1.0)):
+            q = WorkQueue()
+            q.push(make_item(1), now=2.0)
+            with pytest.raises(StructuralError, match="ends before it starts"):
+                leave(q)
+
+    def test_trusted_item_equals_the_checked_constructor(self):
+        # every field set, so a field added to WorkItem but not to trusted_item fails here
+        fast = trusted_item(5, WorkType.INCIDENT, Priority.P2, CORE1, 3.25, 1.5)
+        assert fast == WorkItem(5, WorkType.INCIDENT, Priority.P2, CORE1, 3.25, 1.5)
 
 
 class TestEngineer:
@@ -158,11 +175,9 @@ class TestWorkQueue:
         assert q.count(Priority.P3) == 2
         q.remove(3, now=0.0)
         assert q.count(Priority.P3) == 1
-        counts = q.counts()
+        counts = q.priority_counts
         assert counts[Priority.P1] == 1 and counts[Priority.P3] == 1
         assert sum(counts) == len(q)
-        counts[Priority.P1] = 99  # a copy: the queue's own counts are untouched
-        assert q.count(Priority.P1) == 1
 
     def test_removed_item_can_come_back(self):
         q = WorkQueue()
@@ -202,6 +217,7 @@ def test_queue_drains_sorted_and_conserves(specs):
     items = [make_item(i, pr, arrival=t) for i, (pr, t) in enumerate(specs)]
     for item in items:
         q.push(item, now=item.arrival_time)
+    assert len(q) == q.size == len(items)
     drained = []
     while True:
         got = q.pop_best(200.0)
@@ -213,3 +229,4 @@ def test_queue_drains_sorted_and_conserves(specs):
     assert keys == sorted(keys)
     # every episode was closed by the pop
     assert all(not i.in_queue for i in drained)
+    assert q.size == 0

@@ -32,6 +32,7 @@ GOLDEN = {
     "des-two-skill": "ca14a5b962fb5c5cb0995b74b68d9ba59d462528d0a2eb020f2dfdb1d5df1416",
     "des-report-single": "1275859a211ad7362ef5cf3150795c63d6f74d7e0359b6568f0a871105da1488",
     "des-report-reps": "05c8d611a65f50be35f0ba5b2c3678bef8b9dfb1924d325cca1b4293ac9c1ff7",
+    "des-report-reps-merged": "c6fc4ccf24d663bbdc210cb4c2a315533988692bb156db103c5f9f9f7bc7b5ca",
     "des-report-csv": "f3a43bd2afec90bf935cb028b6a6cbbbacc7d624af10a40cf4c4142166c30570",
     "sd-default": "c4ebf22d113189d66600711e68d2ae32c91a9945891474d48fcb4b11c2f258b0",
     "hybrid-cycles-json": "9657988843a0d9af49d753738b0511d54efcba03e46e85471e199f8bb6d202e5",
@@ -112,6 +113,13 @@ def _digest(name: str, tmp_path) -> str:
         )
         emit_des_report(stats, tmp_path, logs=logs)
         return _files_sha(tmp_path.glob("eventlog_rep*.ndjson"))
+    if name == "des-report-reps-merged":
+        # the merged replications: pooled samples, summed counters and the
+        # day-by-day sums of the queue series
+        sc = default_scenario()
+        stats, _ = run_des_replicated(sc.des, seed=sc.seed, horizon=sc.horizon, replications=2)
+        emit_des_report(stats, tmp_path)
+        return _files_sha([tmp_path / "summary.json", tmp_path / "queue_lengths.csv"])
     report = run_hybrid(default_scenario(), cycles_max=2, tol=1e-12)
     if name == "hybrid-cycles-json":
         emit_hybrid_report(report, tmp_path)

@@ -193,6 +193,12 @@ class TestSynthetic:
         generate_synthetic(self.spec(), seed=10, path=c)
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_service_means_must_be_positive_and_finite(self, tmp_path, bad):
+        spec = SynthSpec([SynthClass("incident", 2.0, (0.4, 0.4, 0.2), (1.5, bad, 5.0))])
+        with pytest.raises(ConfigurationError, match="positive, finite service means"):
+            generate_synthetic(spec, seed=1, path=tmp_path / "synth.csv")
+
     def test_zero_span_writes_header_only(self, tmp_path):
         p = tmp_path / "synth.csv"
         n = generate_synthetic(self.spec(span=0.0), seed=1, path=p)
