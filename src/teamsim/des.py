@@ -158,15 +158,20 @@ class ArrivalPlan:
     picks the same outcome.
     """
 
-    __slots__ = ("work_type", "daily_rate", "p1_cut", "p12_cut", "means", "skill_cuts", "skills")
+    __slots__ = (
+        "work_type", "daily_rate", "p1_cut", "p12_cut", "means", "skill_cuts", "skills", "details"
+    )
 
     def __init__(self, gen: GeneratorConfig) -> None:
         self.work_type = gen.work_type
         self.daily_rate = gen.daily_rate
         self.p1_cut, self.p12_cut = _priority_cuts(gen.priority_mix)
         self.means = [0.0] * (max(Priority) + 1)  # indexed by int(priority)
+        # an arrival's event-log detail, "<work type>:<priority>", by priority
+        self.details = [""] * (max(Priority) + 1)
         for pr in Priority:
             self.means[pr] = gen.mean_for(pr)
+            self.details[pr] = f"{gen.work_type.value}:{pr.name}"
         self.skill_cuts = []
         acc = 0.0
         for _, p in gen.skill_mix:
@@ -675,7 +680,7 @@ class DesEngine:
         rng = self.rng
         self.calendar.push(t + sample_interarrival(plan.daily_rate, rng), _EV_ARRIVAL, gen_index, 0)
         item = plan.sample_item(t, rng, self._next_id())
-        detail = f"{item.work_type.value}:{item.priority.name}" if self.log is not None else ""
+        detail = plan.details[item.priority] if self.log is not None else ""
         self._admit(item, t, "arrival", -1, detail)
         self._route(item, t)
 

@@ -8,6 +8,18 @@ open file, so no joined copy of a whole file is built in memory, and an
 ``EventLogSink`` writes each run's event log the moment that run ends, so
 no more than one run's log need be held at a time.  Event logs have one
 encoding, NDJSON, for every command.
+
+An event's time is written as ``json.dumps`` writes ``round(t, 6)``, that
+is ``repr(round(t, 6))``, but on ``1e-4 <= t < 1e9`` it is rendered as
+``f"{t:.6f}"`` with trailing zeros stripped (one kept after a bare ``.``),
+which costs about a third as much.  Both round ``t`` correctly to 6
+decimals, and inside those bounds the text is exactly what ``repr``
+writes: ``repr`` uses no exponent there, and a value of at most 15
+significant digits is one ``repr`` reproduces digit for digit.  Below
+``1e-4`` ``repr`` switches to exponent form, and from about ``1e9`` six
+decimals make 16 digits or more, which need not be the shortest text that
+round-trips (123456789012.345678 renders ``...345673`` against ``repr``'s
+``...34567``), so every other time takes ``repr(round(t, 6))``.
 """
 from __future__ import annotations
 
@@ -15,7 +27,7 @@ import json
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..des import DesStats, EventRecord
 from ..domain import Priority
@@ -59,26 +71,61 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
         f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
+def _json_time(t: float) -> str:
+    """``repr(round(t, 6))``, computed as the module docstring describes."""
+    if 1e-4 <= t < 1e9:
+        s = f"{t:.6f}".rstrip("0")
+        return s + "0" if s[-1] == "." else s
+    return repr(round(t, 6))
+
+
+class _Escaped(dict):
+    """JSON string literals of the strings looked up, each escaped once."""
+
+    def __missing__(self, s: str) -> str:
+        lit = self[s] = _json_str(s)
+        return lit
+
+
+def _ndjson_lines(log: Iterable[EventRecord]) -> Iterator[str]:
+    # a log holds a handful of event kinds and many records at one instant,
+    # so each kind is escaped once and a time rendered once per run of equal
+    # times; ``not t`` re-renders every zero, since 0.0 == -0.0
+    kinds = _Escaped()
+    prev_t = None
+    time_s = ""
+    for t, kind, item_id, eng_id, detail in log:
+        if t != prev_t or not t:
+            prev_t = t
+            time_s = _json_time(t)
+        yield (
+            f'{{"detail": {_json_str(detail)}, "engineer_id": {eng_id}, '
+            f'"event_kind": {kinds[kind]}, "item_id": {item_id}, "time": {time_s}}}\n'
+        )
+
+
 def format_event_ndjson(rec: EventRecord) -> str:
     """One NDJSON line, equal to ``json.dumps`` of the record with ``sort_keys``.
 
     The keys are fixed, so the line is an f-string in sorted-key order with
     json's default separators; strings go through the same C escaper that
-    ``json.dumps`` uses, and ``time`` is rounded to 6 decimals.  Event times
-    are finite floats from the engine's clock: ``repr`` would render
-    ``nan``/``inf`` where json writes ``NaN``/``Infinity``.
+    ``json.dumps`` uses, and ``time`` is rounded to 6 decimals.  The time is
+    fixed-point text with trailing zeros stripped on ``1e-4 <= time < 1e9``
+    and ``repr(round(time, 6))`` elsewhere: inside those bounds the two
+    texts agree, below them ``repr`` writes an exponent, and above them the
+    fixed-point text can carry digits ``repr`` drops (see the module
+    docstring).  Event times are finite floats from the engine's clock:
+    ``repr`` would render ``nan``/``inf`` where json writes
+    ``NaN``/``Infinity``.  ``write_event_log_ndjson`` writes its lines from
+    the same template.
     """
-    t, kind, item_id, eng_id, detail = rec
-    return (
-        f'{{"detail": {_json_str(detail)}, "engineer_id": {eng_id}, '
-        f'"event_kind": {_json_str(kind)}, "item_id": {item_id}, "time": {round(t, 6)!r}}}'
-    )
+    return next(_ndjson_lines((rec,)))[:-1]
 
 
 def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
     """Stream one ``format_event_ndjson`` line per record; an empty log writes an empty file."""
     with path.open("w") as f:
-        f.writelines(format_event_ndjson(rec) + "\n" for rec in log)
+        f.writelines(_ndjson_lines(log))
 
 
 class EventLogSink:
@@ -183,13 +230,10 @@ def emit_sd_report(traj: SdTrajectory, out_dir: Path, fmt: str = "json") -> list
     out_dir.mkdir(parents=True, exist_ok=True)
     state_cols = _state_columns()
     aux_cols = _aux_columns()
-    rows = []
-    for t, s, a in zip(traj.times, traj.states, traj.aux):
-        rows.append(
-            [t]
-            + [getattr(s, c) for c in state_cols]
-            + [getattr(a, c) for c in aux_cols]
-        )
+    rows = (
+        [t] + [getattr(s, c) for c in state_cols] + [getattr(a, c) for c in aux_cols]
+        for t, s, a in zip(traj.times, traj.states, traj.aux)
+    )
     p_traj = out_dir / "trajectory.csv"
     write_csv(p_traj, ["time"] + state_cols + aux_cols, rows)
     summary = {

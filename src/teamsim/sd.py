@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .errors import ConfigurationError, EngineError
 
@@ -174,6 +175,8 @@ def auxiliaries(state: SdState, params: SdParams) -> SdAux:
 
 _STATE_FIELDS = tuple(f.name for f in fields(SdState))
 _AUX_FIELDS = tuple(f.name for f in fields(SdAux))
+_state_values = attrgetter(*_STATE_FIELDS)
+_aux_values = attrgetter(*_AUX_FIELDS)
 
 
 def _step(
@@ -287,6 +290,11 @@ class SdTrajectory:
 
 
 def _check_finite(state: SdState, aux: SdAux, t: float) -> None:
+    # a NaN or an infinity makes the sum non-finite, so a finite sum proves
+    # every value finite; a non-finite sum of finite values (an overflow)
+    # falls through the loops without raising
+    if math.isfinite(sum(_state_values(state)) + sum(_aux_values(aux))):
+        return
     for name in _STATE_FIELDS:
         if not math.isfinite(getattr(state, name)):
             raise EngineError(f"non-finite value in stock {name!r} at t={t:.6f}")

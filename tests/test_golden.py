@@ -3,7 +3,8 @@
 The C8 acceptance check compares one run against another, so it cannot see
 a change that alters every run the same way.  These digests pin the exact
 bytes instead: event-log lines, summary floats at full ``repr`` precision,
-daily series, the SD trajectory, and the report files: the hybrid
+daily series, the SD trajectory, and the report files: the SD
+``trajectory.csv`` and ``summary.json``, the hybrid
 ``cycles.json`` and per-cycle NDJSON event logs, and the ``des`` summary,
 queue series and NDJSON event logs of one and of two replications.  A
 digest may change only in a commit that says why the output changed.
@@ -20,7 +21,7 @@ import pytest
 
 from teamsim.des import DesModifiers, run_des, run_des_replicated
 from teamsim.hybrid import run_hybrid
-from teamsim.io.report import emit_des_report, emit_hybrid_report
+from teamsim.io.report import emit_des_report, emit_hybrid_report, emit_sd_report
 from teamsim.io.scenario import default_scenario
 from teamsim.sd import run_sd
 
@@ -35,6 +36,7 @@ GOLDEN = {
     "des-report-reps-merged": "c6fc4ccf24d663bbdc210cb4c2a315533988692bb156db103c5f9f9f7bc7b5ca",
     "des-report-csv": "f3a43bd2afec90bf935cb028b6a6cbbbacc7d624af10a40cf4c4142166c30570",
     "sd-default": "c4ebf22d113189d66600711e68d2ae32c91a9945891474d48fcb4b11c2f258b0",
+    "sd-report": "d21a03fd7c0451c5e0958094aa9b363ce646f366ad86ebc810f84c5db35a516d",
     "hybrid-cycles-json": "9657988843a0d9af49d753738b0511d54efcba03e46e85471e199f8bb6d202e5",
     "hybrid-eventlog-ndjson": "3c397de426f4ca14e05ddf4105ef193213051d22fc690f7adb7cb54b49ccddda",
     "hybrid-diff-csv": "0d0deb6c91e3bf3676a486090b62e22ce8830003c2f9386ebacc14c4d686db17",
@@ -98,6 +100,11 @@ def _digest(name: str, tmp_path) -> str:
             for t, s, a in zip(traj.times, traj.states, traj.aux)
         ]
         return _sha(rows + [str(traj.clamp_events)])
+    if name == "sd-report":
+        # the files of ``teamsim sd --out``: trajectory.csv and summary.json
+        sc = default_scenario()
+        traj = run_sd(sc.sd_initial, sc.sd_params, sc.horizon, sc.dt)
+        return _files_sha(emit_sd_report(traj, tmp_path))
     if name == "des-report-single":
         sc = default_scenario()
         stats, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 import yaml
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from teamsim.des import run_des, run_des_replicated
 from teamsim.errors import ConfigurationError, DataError
@@ -347,6 +347,31 @@ _event_times = st.one_of(
     st.integers(min_value=0, max_value=10**7).map(lambda a: a / 128),
     st.sampled_from([0.0, 1e-05, 5e-07, 1.5e-06, 2.5e-06, 9.9999995e-05, 1e16]),
 )
+# times at the edges of the writer's fixed-point rendering, 1e-4 <= t < 1e9:
+# just below and at each bound, zero of either sign, and 1e16
+_edge_times = st.sampled_from(
+    [
+        0.0,
+        -0.0,
+        math.nextafter(1e-4, 0.0),
+        9.9999995e-05,
+        1e-4,
+        math.nextafter(1e-4, 1.0),
+        999999999.9999995,
+        math.nextafter(1e9, 0.0),
+        1e9,
+        math.nextafter(1e9, 2e9),
+        1e9 + 0.0078125,
+        123456789012.345678,
+        1e16,
+    ]
+)
+_log_times = st.one_of(
+    _event_times,
+    _edge_times,
+    # half-way cases up to the upper bound
+    st.integers(min_value=0, max_value=128 * 10**9).map(lambda a: a / 128),
+)
 # a dead letter's detail is a user-supplied skill type, so details are any text
 _details = st.one_of(
     st.text(),
@@ -378,6 +403,48 @@ class TestEventLogWriters:
             sort_keys=True,
         )
         assert format_event_ndjson((t, kind, item_id, eng_id, detail)) == expected
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        runs=st.lists(
+            st.tuples(
+                _log_times,
+                st.lists(
+                    st.tuples(
+                        st.one_of(st.sampled_from(["arrival", "start", "complete"]), st.text()),
+                        st.integers(min_value=0, max_value=2**40),
+                        st.integers(min_value=-1, max_value=2**20),
+                        _details,
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    # equal times that render differently: a run's text must not be reused
+    @example(runs=[(0.0, [("arrival", 0, -1, "")]), (-0.0, [("start", 0, 0, "")])])
+    def test_every_written_line_equals_json_dumps(self, runs, tmp_path):
+        # runs of records at one time, as the engine logs several events per instant
+        log = [(t, *rest) for t, recs in runs for rest in recs]
+        path = tmp_path / "e.ndjson"
+        write_event_log_ndjson(log, path)
+        expected = "".join(
+            json.dumps(
+                {
+                    "time": round(t, 6),
+                    "event_kind": kind,
+                    "item_id": item_id,
+                    "engineer_id": eng_id,
+                    "detail": detail,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for t, kind, item_id, eng_id, detail in log
+        )
+        assert path.read_bytes() == expected.encode()
 
     def test_empty_logs_and_rows(self, tmp_path):
         write_event_log_ndjson([], tmp_path / "e.ndjson")

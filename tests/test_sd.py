@@ -8,6 +8,7 @@ the outflow clamp engages.
 """
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from teamsim.errors import ConfigurationError, EngineError
 from teamsim.sd import (
     SdParams,
     SdState,
+    _check_finite,
     auxiliaries,
     mass_residuals,
     run_sd,
@@ -275,8 +277,23 @@ class TestTrajectories:
 
     def test_nonfinite_blowup_names_the_stock(self):
         params = busy_params(g_mgmt=1e308)
-        with pytest.raises(EngineError, match=r"t="):
+        msg = "non-finite value in stock 'mgmt_pressure' at t=0.500000"
+        with pytest.raises(EngineError, match=f"^{re.escape(msg)}$"):
             run_sd(BUSY_INIT, params, 20.0, 0.25)
+
+    def test_finiteness_check_names_a_nan_auxiliary(self):
+        aux = dataclasses.replace(auxiliaries(BUSY_INIT, busy_params()), stop_rate=float("nan"))
+        msg = "non-finite value in auxiliary 'stop_rate' at t=1.250000"
+        with pytest.raises(EngineError, match=f"^{re.escape(msg)}$"):
+            _check_finite(BUSY_INIT, aux, 1.25)
+
+    def test_finiteness_check_passes_finite_values_whose_sum_overflows(self):
+        huge = dataclasses.replace(
+            BUSY_INIT, project_completed=1e308, ops_completed=1e308, rework_pool=1e308
+        )
+        aux = auxiliaries(BUSY_INIT, busy_params())
+        assert not math.isfinite(sum(dataclasses.astuple(huge)))
+        _check_finite(huge, aux, 0.0)
 
     def test_column_lookup_rejects_unknown_name(self):
         traj = run_sd(BUSY_INIT, busy_params(), 2.0, 0.25)
