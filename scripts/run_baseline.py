@@ -30,9 +30,8 @@ def main() -> int:
 
     # each replication's log is written as soon as it ends
     sink = des_log_sink(out / "des", args.reps)
-    stats, _ = run_des_replicated(
-        sc.des, seed=seed, horizon=sc.horizon, replications=args.reps, collect_log=True,
-        log_sink=sink,
+    stats = run_des_replicated(
+        sc.des, seed=seed, horizon=sc.horizon, replications=args.reps, log_sink=sink
     )
     print(f"== event model: {args.reps} x {sc.horizon:g} days, seed {seed} ==")
     print(f"arrived {stats.arrived_total}  completed {stats.completed_total}  "

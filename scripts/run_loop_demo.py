@@ -29,9 +29,7 @@ def main() -> int:
     sc = default_scenario() if args.scenario == "default" else load_scenario(args.scenario)
     # each cycle's log is written as soon as its event-model run ends
     sink = hybrid_log_sink(Path(args.out))
-    report = run_hybrid(
-        sc, cycles_max=args.cycles, seed=args.seed, tol=1e-12, collect_logs=True, log_sink=sink
-    )
+    report = run_hybrid(sc, cycles_max=args.cycles, seed=args.seed, tol=1e-12, log_sink=sink)
 
     print(f"{'cycle':<6}{'rework x':>9}{'capacity':>9}{'intr/day':>9}"
           f"{'stops':>7}{'rework':>7}{'P2 days':>8}{'P3 done':>8}")

@@ -106,14 +106,8 @@ def _cmd_des(args) -> int:
     # the sink creates --out before the first replication and writes each
     # replication's log as soon as it ends
     sink = des_log_sink(Path(args.out), reps) if args.out else None
-    stats, _ = run_des_replicated(
-        scenario.des,
-        None,
-        seed=seed,
-        horizon=horizon,
-        replications=reps,
-        collect_log=sink is not None,
-        log_sink=sink,
+    stats = run_des_replicated(
+        scenario.des, None, seed=seed, horizon=horizon, replications=reps, log_sink=sink
     )
     if sink is not None:
         for p in emit_des_report(stats, sink.out_dir, args.format, log_sink=sink):
@@ -152,7 +146,6 @@ def _cmd_hybrid(args) -> int:
         cycles_max=args.cycles,
         seed=args.seed,
         tol=args.tol,
-        collect_logs=sink is not None,
         log_sink=sink,
     )
     if sink is not None:

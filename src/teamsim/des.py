@@ -206,7 +206,7 @@ class DesModifiers:
 
     @classmethod
     def identity(cls) -> "DesModifiers":
-        return cls(1.0, 1.0, 0.0)
+        return cls()
 
     def validate(self) -> None:
         if self.rework_multiplier < 0.0 or not math.isfinite(self.rework_multiplier):
@@ -946,25 +946,22 @@ def run_des_replicated(
     seed: int = 0,
     horizon: float = 126.0,
     replications: int = 1,
-    collect_log: bool = False,
     log_sink: Callable[[int, list[EventRecord]], None] | None = None,
-) -> tuple[DesStats, list[list[EventRecord]]]:
+) -> DesStats:
     """Run ``replications`` independent replications with seeds seed, seed+1, ...
 
-    Stats are pooled with ``merge_stats``; logs (when collected) come back
-    one list per replication.  With a ``log_sink``, replication ``i``'s log
-    is handed to ``log_sink(i, log)`` as soon as it ends and is not kept,
-    so every returned log is empty.
+    Returns the stats pooled with ``merge_stats``.  Event logs are collected
+    only for a ``log_sink``: replication ``i``'s log is handed to
+    ``log_sink(i, log)`` as soon as it ends and is not kept.
     """
     if replications < 1:
         raise ConfigurationError("replications must be >= 1")
     merged: DesStats | None = None
-    logs: list[list[EventRecord]] = []
     for i in range(replications):
-        stats, log = run_des(config, modifiers, seed + i, horizon, collect_log=collect_log)
+        stats, log = run_des(config, modifiers, seed + i, horizon, collect_log=log_sink is not None)
         if log_sink is not None:
             log_sink(i, log)
-            log = []
-        logs.append(log)
+        # drop this replication's log before the next one runs
+        del log
         merged = stats if merged is None else merge_stats(merged, stats)
-    return merged, logs
+    return merged

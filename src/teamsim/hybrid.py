@@ -15,11 +15,11 @@ the scenario seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .des import DesModifiers, DesStats, EventRecord, class_order, run_des
-from .domain import Priority, WorkType
+from .des import DesModifiers, DesStats, EventRecord, run_des
+from .domain import WorkType
 from .errors import ConfigurationError
 from .sd import SdParams, SdState, SdTrajectory, run_sd
 
@@ -35,9 +35,6 @@ class FeedForward:
     rework_generation_rate: float
     preemption_rate: float
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SdSummary:
@@ -48,9 +45,6 @@ class SdSummary:
     mean_stop_rate: float
     mean_error_frac: float
     final_error_frac: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def summarize_trajectory(traj: SdTrajectory) -> SdSummary:
@@ -154,32 +148,16 @@ class CycleRecord:
     sd_summary: SdSummary
     modifiers_out: DesModifiers
     des_stats: DesStats
-    event_log: list[EventRecord]
 
 
 @dataclass
 class HybridReport:
     cycles: list[CycleRecord]
     converged: bool
-    # per cycle, per (work type, priority): daily mean completion-time deltas
-    # against cycle 0; None where either cycle completed nothing that day
-    diffs: list[dict[tuple[WorkType, Priority], list[float | None]]]
 
     @property
     def n_cycles(self) -> int:
         return len(self.cycles)
-
-
-def _diff_series(cur: DesStats, base: DesStats) -> dict:
-    keys = sorted(set(cur.daily_completion_sum) | set(base.daily_completion_sum), key=class_order)
-    out = {}
-    for key in keys:
-        a = cur.daily_mean_completion(key)
-        b = base.daily_mean_completion(key)
-        out[key] = [
-            x - y if (x is not None and y is not None) else None for x, y in zip(a, b)
-        ]
-    return out
 
 
 def run_hybrid(
@@ -187,16 +165,15 @@ def run_hybrid(
     cycles_max: int | None = None,
     seed: int | None = None,
     tol: float | None = None,
-    collect_logs: bool = True,
     log_sink: Callable[[int, list[EventRecord]], None] | None = None,
 ) -> HybridReport:
     """Run the coupled procedure for up to ``cycles_max`` cycles.
 
     Stops early once the feedback modifiers change by less than ``tol``
     (largest relative component change) between consecutive cycles.
-    With a ``log_sink``, each cycle's event log is handed to
-    ``log_sink(k, log)`` as soon as that cycle's event-model run ends and
-    is not kept: every ``CycleRecord.event_log`` is then empty.
+    Event logs are collected only for a ``log_sink``: cycle ``k``'s log is
+    handed to ``log_sink(k, log)`` as soon as that cycle's event-model run
+    ends and is not kept.
     """
     cycles_max = scenario.cycles_max if cycles_max is None else cycles_max
     seed = scenario.seed if seed is None else seed
@@ -217,24 +194,27 @@ def run_hybrid(
             modifiers,
             seed=seed + k,
             horizon=scenario.horizon,
-            collect_log=collect_logs,
+            collect_log=log_sink is not None,
         )
         if log_sink is not None:
             log_sink(k, log)
-            log = []
+        # each log and trajectory is dropped once used, so neither is held
+        # through a later run, where the memory peak comes
+        del log
         ff = extract_feedforward(stats)
         params_k = apply_feedforward(scenario.sd_params, ff, scenario.sd_initial)
         traj = run_sd(scenario.sd_initial, params_k, scenario.horizon, scenario.dt)
+        summary = summarize_trajectory(traj)
         out = extract_feedback(traj, params_k, scenario.des.interrupt_base_rate)
+        del traj
         cycles.append(
             CycleRecord(
                 index=k,
                 modifiers_in=modifiers,
                 feed_forward=ff,
-                sd_summary=summarize_trajectory(traj),
+                sd_summary=summary,
                 modifiers_out=out,
                 des_stats=stats,
-                event_log=log,
             )
         )
         if prev_out is not None and modifier_change(out, prev_out) < tol:
@@ -243,6 +223,4 @@ def run_hybrid(
         prev_out = out
         modifiers = out
 
-    base = cycles[0].des_stats
-    diffs = [_diff_series(rec.des_stats, base) for rec in cycles]
-    return HybridReport(cycles=cycles, converged=converged, diffs=diffs)
+    return HybridReport(cycles=cycles, converged=converged)

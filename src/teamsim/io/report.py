@@ -176,13 +176,12 @@ def emit_des_report(
     stats: DesStats,
     out_dir: Path,
     fmt: str = "json",
-    logs: Sequence[Sequence[EventRecord]] = (),
     log_sink: EventLogSink | None = None,
 ) -> list[Path]:
-    """Write summary, daily queue series, and optional event logs.
+    """Write summary and daily queue series; list the sink's event logs.
 
-    The event logs are ``logs``, or, when a ``log_sink`` is given, the
-    files it already wrote while the replications ran.
+    The event logs are the files a ``log_sink`` already wrote while the
+    replications ran; without one, no log is listed.
     """
     _check_format(fmt)
     out_dir = Path(out_dir)
@@ -207,11 +206,8 @@ def emit_des_report(
     write_csv(p, ("day", "individual_queues", "p1", "p2", "p3"), rows)
     written.append(p)
 
-    if log_sink is None:
-        log_sink = des_log_sink(out_dir, len(logs))
-        for k, log in enumerate(logs):
-            log_sink(k, log)
-    written += log_sink.paths
+    if log_sink is not None:
+        written += log_sink.paths
     return written
 
 
@@ -262,8 +258,8 @@ def _cycle_dict(rec) -> dict:
     return {
         "cycle": rec.index,
         "modifiers_in": asdict(rec.modifiers_in),
-        "feed_forward": rec.feed_forward.as_dict(),
-        "sd_summary": rec.sd_summary.as_dict(),
+        "feed_forward": asdict(rec.feed_forward),
+        "sd_summary": asdict(rec.sd_summary),
         "modifiers_out": asdict(rec.modifiers_out),
         "des": rec.des_stats.to_flat_dict(),
     }
@@ -280,8 +276,8 @@ def emit_hybrid_report(
     The difference CSVs compare the final cycle against cycle 0: per day,
     the change in mean completion time (days) for that priority.  Days
     where either cycle completed nothing are left empty.  The event logs
-    are the cycles' ``event_log`` lists, or, when a ``log_sink`` is given,
-    the files it already wrote while the cycles ran.
+    are the files a ``log_sink`` already wrote while the cycles ran;
+    without one, no log is listed.
     """
     _check_format(fmt)
     out_dir = Path(out_dir)
@@ -310,11 +306,8 @@ def emit_hybrid_report(
         write_csv(p, ("day", "delta_days"), rows)
         written.append(p)
 
-    if log_sink is None:
-        log_sink = hybrid_log_sink(out_dir)
-        for rec in report.cycles:
-            log_sink(rec.index, rec.event_log)
-    written += log_sink.paths
+    if log_sink is not None:
+        written += log_sink.paths
     return written
 
 

@@ -17,7 +17,7 @@ first-order lags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import ConfigurationError, EngineError
@@ -361,9 +361,3 @@ def mass_residuals(traj: SdTrajectory, params: SdParams) -> list[tuple[float, fl
         out.append((t, rp, ro))
     return out
 
-
-def with_updates(params: SdParams, **updates: float) -> SdParams:
-    """Functional parameter update that re-validates the result."""
-    new = replace(params, **updates)
-    new.validate()
-    return new

@@ -31,7 +31,7 @@ from teamsim.domain import Priority
 from teamsim.hybrid import run_hybrid
 from teamsim.io.scenario import default_scenario
 from teamsim.io.tickets import SynthClass, SynthSpec, generate_synthetic, ingest_tickets
-from teamsim.sd import SdState, mass_residuals, run_sd, with_updates
+from teamsim.sd import SdState, mass_residuals, run_sd
 
 from conftest import mm1_config, mmc_config
 from test_hybrid import zero_gain_scenario
@@ -176,7 +176,7 @@ def test_c5_closing_the_loop_degrades_service():
     wins = {"stops": 0, "p2_slower": 0, "p3_fewer": 0, "rework": 0}
     figures = []
     for seed in range(1, 11):
-        report = run_hybrid(sc, cycles_max=3, seed=seed, tol=1e-12, collect_logs=False)
+        report = run_hybrid(sc, cycles_max=3, seed=seed, tol=1e-12)
         base = report.cycles[0].des_stats
         final = report.cycles[-1].des_stats
         p2_base, _ = base.pooled_completion_days(Priority.P2)
@@ -255,12 +255,14 @@ def test_c6_integrator_accuracy():
 
 def test_c7_zero_gain_identity_fixed_point():
     sc = zero_gain_scenario()
-    report = run_hybrid(sc, cycles_max=3, tol=1e-12, collect_logs=True)
+    logs = []
+    report = run_hybrid(sc, cycles_max=3, tol=1e-12, log_sink=lambda k, log: logs.append(log))
     identity = all(rec.modifiers_out == DesModifiers.identity() for rec in report.cycles)
     matches = True
-    for rec in report.cycles:
+    # strict: a cycle whose log never reached the sink fails the check
+    for rec, log in zip(report.cycles, logs, strict=True):
         _, solo = run_des(sc.des, seed=sc.seed + rec.index, horizon=sc.horizon)
-        if rec.event_log != solo:
+        if log != solo:
             matches = False
     ok = report.converged and identity and matches
     verdict(

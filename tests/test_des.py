@@ -690,7 +690,7 @@ class TestMergeAndReplication:
 
     def test_replicated_run_matches_manual_merge(self):
         cfg = mm1_config()
-        merged, _ = run_des_replicated(cfg, seed=10, horizon=200.0, replications=3)
+        merged = run_des_replicated(cfg, seed=10, horizon=200.0, replications=3)
         parts = [run_des(cfg, seed=10 + i, horizon=200.0, collect_log=False)[0] for i in range(3)]
         manual = merge_stats(merge_stats(parts[0], parts[1]), parts[2])
         assert merged.to_flat_dict() == manual.to_flat_dict()

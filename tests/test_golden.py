@@ -21,7 +21,13 @@ import pytest
 
 from teamsim.des import DesModifiers, run_des, run_des_replicated
 from teamsim.hybrid import run_hybrid
-from teamsim.io.report import emit_des_report, emit_hybrid_report, emit_sd_report
+from teamsim.io.report import (
+    des_log_sink,
+    emit_des_report,
+    emit_hybrid_report,
+    emit_sd_report,
+    hybrid_log_sink,
+)
 from teamsim.io.scenario import default_scenario
 from teamsim.sd import run_sd
 
@@ -108,38 +114,46 @@ def _digest(name: str, tmp_path) -> str:
     if name == "des-report-single":
         sc = default_scenario()
         stats, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)
-        return _files_sha(emit_des_report(stats, tmp_path, logs=[log]))
+        sink = des_log_sink(tmp_path, 1)
+        sink(0, log)
+        return _files_sha(emit_des_report(stats, tmp_path, log_sink=sink))
     if name == "des-report-csv":
         sc = default_scenario()
         stats, _ = run_des(sc.des, seed=sc.seed, horizon=sc.horizon, collect_log=False)
         return _files_sha(emit_des_report(stats, tmp_path, fmt="csv"))
     if name == "des-report-reps":
         sc = default_scenario()
-        stats, logs = run_des_replicated(
-            sc.des, seed=sc.seed, horizon=sc.horizon, replications=2, collect_log=True
+        sink = des_log_sink(tmp_path, 2)
+        stats = run_des_replicated(
+            sc.des, seed=sc.seed, horizon=sc.horizon, replications=2, log_sink=sink
         )
-        emit_des_report(stats, tmp_path, logs=logs)
+        emit_des_report(stats, tmp_path, log_sink=sink)
         return _files_sha(tmp_path.glob("eventlog_rep*.ndjson"))
     if name == "des-report-reps-merged":
         # the merged replications: pooled samples, summed counters and the
         # day-by-day sums of the queue series
         sc = default_scenario()
-        stats, _ = run_des_replicated(sc.des, seed=sc.seed, horizon=sc.horizon, replications=2)
+        stats = run_des_replicated(sc.des, seed=sc.seed, horizon=sc.horizon, replications=2)
         emit_des_report(stats, tmp_path)
         return _files_sha([tmp_path / "summary.json", tmp_path / "queue_lengths.csv"])
-    report = run_hybrid(default_scenario(), cycles_max=2, tol=1e-12)
+    sink = hybrid_log_sink(tmp_path)
+    logs = []
+
+    def keep_and_write(k, log):
+        logs.append(log)
+        sink(k, log)
+
+    report = run_hybrid(default_scenario(), cycles_max=2, tol=1e-12, log_sink=keep_and_write)
+    emit_hybrid_report(report, tmp_path, log_sink=sink)
     if name == "hybrid-cycles-json":
-        emit_hybrid_report(report, tmp_path)
         return hashlib.sha256((tmp_path / "cycles.json").read_bytes()).hexdigest()
     if name == "hybrid-eventlog-ndjson":
-        emit_hybrid_report(report, tmp_path)
         return _files_sha(tmp_path.glob("eventlog_cycle*.ndjson"))
     if name == "hybrid-diff-csv":
-        emit_hybrid_report(report, tmp_path)
         return _files_sha(tmp_path.glob("diff_p*.csv"))
     lines = []
-    for rec in report.cycles:
-        lines += _des_lines(rec.des_stats, rec.event_log)
+    for rec, log in zip(report.cycles, logs, strict=True):
+        lines += _des_lines(rec.des_stats, log)
         lines.append(_exact([astuple(rec.modifiers_in), astuple(rec.modifiers_out)]))
     return _sha(lines)
 

@@ -1,14 +1,18 @@
 """Ticket ingestion, synthetic data, report emission, and scenario I/O."""
+import copy
 import csv
 import json
 import math
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import teamsim.des
+import teamsim.hybrid
 from teamsim.des import run_des, run_des_replicated
 from teamsim.errors import ConfigurationError, DataError
 from teamsim.io.report import (
@@ -231,7 +235,9 @@ class TestSynthetic:
 class TestReportEmission:
     def test_des_report_files(self, tmp_path):
         stats, log = run_des(default_scenario().des, seed=20, horizon=30.0)
-        written = emit_des_report(stats, tmp_path, fmt="json", logs=[log])
+        sink = des_log_sink(tmp_path, 1)
+        sink(0, log)
+        written = emit_des_report(stats, tmp_path, fmt="json", log_sink=sink)
         names = {p.name for p in written}
         assert names == {"summary.json", "queue_lengths.csv", "eventlog.ndjson"}
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -255,8 +261,10 @@ class TestReportEmission:
     def test_emission_is_repeatable_bytes(self, tmp_path):
         stats, log = run_des(default_scenario().des, seed=20, horizon=20.0)
         d1, d2 = tmp_path / "one", tmp_path / "two"
-        emit_des_report(stats, d1, fmt="json", logs=[log])
-        emit_des_report(stats, d2, fmt="json", logs=[log])
+        for d in (d1, d2):
+            sink = des_log_sink(d, 1)
+            sink(0, log)
+            emit_des_report(stats, d, fmt="json", log_sink=sink)
         for name in ("summary.json", "queue_lengths.csv", "eventlog.ndjson"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -272,8 +280,9 @@ class TestReportEmission:
 
     def test_hybrid_report_files(self, tmp_path):
         sc = default_scenario()
-        report = run_hybrid(sc, cycles_max=2, collect_logs=True)
-        written = emit_hybrid_report(report, tmp_path, fmt="json")
+        sink = hybrid_log_sink(tmp_path)
+        report = run_hybrid(sc, cycles_max=2, log_sink=sink)
+        written = emit_hybrid_report(report, tmp_path, fmt="json", log_sink=sink)
         names = {p.name for p in written}
         assert "cycles.json" in names
         assert {"diff_p1.csv", "diff_p2.csv", "diff_p3.csv"} <= names
@@ -306,37 +315,108 @@ class TestReportEmission:
 
 class TestLogSink:
     def test_runs_hand_each_log_to_the_sink_and_keep_none(self):
+        # each log handed over is the one a standalone run of that cycle or
+        # replication returns; TestNothingOutlivesItsRun checks none is kept
         sc = default_scenario()
         got = []
         report = run_hybrid(sc, cycles_max=2, tol=1e-12, log_sink=lambda k, log: got.append((k, log)))
-        ref = run_hybrid(sc, cycles_max=2, tol=1e-12)
-        assert got == [(rec.index, rec.event_log) for rec in ref.cycles]
-        assert [rec.event_log for rec in report.cycles] == [[], []]
+        ref = [
+            (rec.index, run_des(sc.des, rec.modifiers_in, sc.seed + rec.index, sc.horizon)[1])
+            for rec in report.cycles
+        ]
+        assert [k for k, _ in got] == [0, 1] and got == ref
 
         got.clear()
-        kw = dict(seed=sc.seed, horizon=30.0, replications=2, collect_log=True)
-        _, logs = run_des_replicated(sc.des, log_sink=lambda k, log: got.append((k, log)), **kw)
-        _, ref_logs = run_des_replicated(sc.des, **kw)
-        assert got == list(enumerate(ref_logs)) and logs == [[], []]
+        run_des_replicated(
+            sc.des, seed=sc.seed, horizon=30.0, replications=2,
+            log_sink=lambda k, log: got.append((k, log)),
+        )
+        ref = [(i, run_des(sc.des, seed=sc.seed + i, horizon=30.0)[1]) for i in range(2)]
+        assert [k for k, _ in got] == [0, 1] and got == ref
 
     @pytest.mark.parametrize("command", ["des", "hybrid"])
     def test_cycle_with_empty_log_gets_no_file(self, tmp_path, command):
         if command == "des":
             # no generator has a positive rate, so each replication has no event
             sink = des_log_sink(tmp_path, 2)
-            stats, _ = run_des_replicated(
-                single_class_config(daily_rate=0.0), horizon=10.0, replications=2,
-                collect_log=True, log_sink=sink,
+            stats = run_des_replicated(
+                single_class_config(daily_rate=0.0), horizon=10.0, replications=2, log_sink=sink
             )
             written = emit_des_report(stats, tmp_path, log_sink=sink)
             expected = ["summary.json", "queue_lengths.csv"]
         else:
+            # no generator has a positive rate, and cycle 0 schedules no
+            # interruptions, so the one cycle has no event
+            sc = copy.deepcopy(default_scenario())
+            for gen in sc.des.generators:
+                gen.daily_rate = 0.0
             sink = hybrid_log_sink(tmp_path)
-            report = run_hybrid(default_scenario(), cycles_max=1, collect_logs=False, log_sink=sink)
+            report = run_hybrid(sc, cycles_max=1, log_sink=sink)
             written = emit_hybrid_report(report, tmp_path, log_sink=sink)
             expected = ["cycles.json", "diff_p1.csv", "diff_p2.csv", "diff_p3.csv"]
         assert sink.paths == [] and not list(tmp_path.glob("eventlog*"))
         assert [p.name for p in written] == expected
+
+
+class _Log(list):
+    """An event log that can be weakly referenced."""
+
+
+class TestNothingOutlivesItsRun:
+    """No run's event log or flow-model trajectory is still referenced when
+    the next event-model or flow-model run starts: the memory peak comes
+    inside a run, so whatever is held through one adds to it."""
+
+    @staticmethod
+    def _watch(monkeypatch, module):
+        # wrap ``module.run_des``, and ``module.run_sd`` where there is one,
+        # so each log and trajectory is weakly referenced; each call first
+        # records which of the earlier ones are gone
+        refs = []
+        starts = []
+
+        def run_des(*args, real=module.run_des, **kwargs):
+            starts.append([r() is None for r in refs])
+            stats, log = real(*args, **kwargs)
+            log = _Log(log)
+            refs.append(weakref.ref(log))
+            return stats, log
+
+        def run_sd(*args, real=getattr(module, "run_sd", None), **kwargs):
+            starts.append([r() is None for r in refs])
+            traj = real(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(module, "run_des", run_des)
+        if hasattr(module, "run_sd"):
+            monkeypatch.setattr(module, "run_sd", run_sd)
+        return refs, starts
+
+    def test_hybrid_cycle_keeps_no_earlier_log_or_trajectory(self, monkeypatch):
+        sc = copy.deepcopy(default_scenario())
+        sc.horizon = 30.0
+        refs, starts = self._watch(monkeypatch, teamsim.hybrid)
+        sizes = []
+        report = run_hybrid(sc, cycles_max=3, tol=1e-12, log_sink=lambda k, log: sizes.append(len(log)))
+        assert report.n_cycles == 3 and all(sizes)
+        # runs alternate: cycle k's event model, then its flow model
+        assert [len(s) for s in starts] == [0, 1, 2, 3, 4, 5]
+        assert all(all(dead) for dead in starts), starts
+        assert all(r() is None for r in refs)
+
+    def test_replication_keeps_no_earlier_log(self, monkeypatch):
+        sc = default_scenario()
+        refs, starts = self._watch(monkeypatch, teamsim.des)
+        sizes = []
+        run_des_replicated(
+            sc.des, seed=sc.seed, horizon=30.0, replications=3,
+            log_sink=lambda k, log: sizes.append(len(log)),
+        )
+        assert len(sizes) == 3 and all(sizes)
+        assert [len(s) for s in starts] == [0, 1, 2]
+        assert all(all(dead) for dead in starts), starts
+        assert all(r() is None for r in refs)
 
 
 # finite non-negative times: any size, exact half-way cases at 6 decimals
@@ -456,11 +536,17 @@ class TestEventLogWriters:
 class TestOldReportConverter:
     def test_old_des_report_converts_to_the_current_files(self, tmp_path):
         sc = default_scenario()
-        stats, logs = run_des_replicated(
-            sc.des, seed=sc.seed, horizon=20.0, replications=2, collect_log=True
+        logs = []
+        stats = run_des_replicated(
+            sc.des, seed=sc.seed, horizon=20.0, replications=2,
+            log_sink=lambda k, log: logs.append(log),
         )
         logs[0].append((20.0, "dead_letter", 999, -1, "skill,with,commas"))
-        new = emit_des_report(stats, tmp_path / "new", logs=logs + [[]])
+        logs.append([])
+        sink = des_log_sink(tmp_path / "new", len(logs))
+        for k, log in enumerate(logs):
+            sink(k, log)
+        new = emit_des_report(stats, tmp_path / "new", log_sink=sink)
         # the older layout: a team_queue column of zeros, and CSV logs that
         # carry a header line even when the log is empty
         old = tmp_path / "old"
@@ -469,7 +555,7 @@ class TestOldReportConverter:
         head, *days = (tmp_path / "new" / "queue_lengths.csv").read_text().splitlines()
         rows = [head.replace("day,", "day,team_queue,")] + [r.replace(",", ",0,", 1) for r in days]
         (old / "queue_lengths.csv").write_text("".join(r + "\n" for r in rows))
-        for k, log in enumerate(logs + [[]]):
+        for k, log in enumerate(logs):
             lines = ["time,event_kind,item_id,engineer_id,detail"]
             lines += [f"{t:.6f},{kind},{item},{eng},{detail}" for t, kind, item, eng, detail in log]
             (old / f"eventlog_rep{k}.csv").write_text("".join(line + "\n" for line in lines))
