@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .domain import (
@@ -534,8 +534,10 @@ class DesStats:
             out[f"{stem}.arrived"] = self.arrived.get(key, 0)
             out[f"{stem}.completed"] = self.completed.get(key, 0)
             out[f"{stem}.mean_completion_days"] = self.mean_completion_days(key)
-            out[f"{stem}.median_completion_days"] = self.median_completion_days(key)
-            out[f"{stem}.p90_completion_days"] = self.p90_completion_days(key)
+            # the two quantiles of median_ and p90_completion_days, from one sort
+            ranked = sorted(self.completion_samples.get(key, ()))
+            out[f"{stem}.median_completion_days"] = _quantile(ranked, 0.5) if ranked else None
+            out[f"{stem}.p90_completion_days"] = _quantile(ranked, 0.9) if ranked else None
             out[f"{stem}.mean_queue_days"] = self.mean_queue_days(key)
         return out
 

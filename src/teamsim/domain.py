@@ -194,26 +194,38 @@ def _close_episode(item: WorkItem, now: float) -> None:
 
 
 class WorkQueue:
-    """Priority-then-FIFO queue with lazy deletion.
+    """Priority-then-FIFO queue with a front slot and lazy deletion.
 
-    Duplicate pushes of the same item id raise ``StructuralError``; the heap
-    never compares items directly because the key tuple ends with the unique
-    id.  ``size`` (the number of live items) and ``priority_counts`` (live
-    items per priority, indexed by ``int(priority)``) are kept eagerly as
-    plain attributes, so the engine reads them without a call; callers must
-    not write them.  Removed items stay in the heap as tombstones until they
-    reach the top; ``_removed`` holds their ids.
+    Duplicate pushes of the same item id raise ``StructuralError``.  Entries
+    are ``(-priority, arrival_time, id, item)``, ``queue_key(item)`` followed
+    by the item, so the unique id settles every comparison between two
+    items before the item itself is reached.  ``size`` (the number of
+    live items) and ``priority_counts`` (live items per priority, indexed by
+    ``int(priority)``) are kept eagerly as plain attributes, so the engine
+    reads them without a call; callers must not write them.
+
+    The most recently pushed entry waits in a one-entry front slot outside
+    the heap; the next push moves it into the heap.  ``pop_best`` takes the
+    better of the front and the heap top with one ``heappushpop``, which
+    leaves the heap untouched when the front wins: an item that an engineer
+    puts back and takes straight up again (an interrupt, a preemption)
+    costs one comparison however deep the queue.  Removing the front item
+    empties the slot.  An item removed from the heap stays there as a
+    tombstone until it reaches the top; ``_removed`` counts the tombstones
+    per id, because a removed item can come back and be removed again
+    before its first tombstone surfaces.
     """
 
-    __slots__ = ("name", "size", "priority_counts", "_heap", "_index", "_removed")
+    __slots__ = ("name", "size", "priority_counts", "_front", "_heap", "_index", "_removed")
 
     def __init__(self, name: str = "queue") -> None:
         self.name = name
         self.size = 0
         self.priority_counts = [0] * (max(Priority) + 1)
-        self._heap: list[tuple[tuple[int, float, int], WorkItem]] = []
+        self._front: tuple[int, float, int, WorkItem] | None = None
+        self._heap: list[tuple[int, float, int, WorkItem]] = []
         self._index: dict[int, WorkItem] = {}
-        self._removed: set[int] = set()
+        self._removed: dict[int, int] = {}
 
     def __len__(self) -> int:
         return self.size
@@ -234,26 +246,44 @@ class WorkQueue:
         self._index[item.id] = item
         self.priority_counts[item.priority] += 1
         self.size += 1
-        heapq.heappush(self._heap, (queue_key(item), item))
+        if self._front is not None:
+            heapq.heappush(self._heap, self._front)
+        self._front = (-item.priority, item.arrival_time, item.id, item)
 
     def _discard_tombstones(self) -> None:
         heap = self._heap
-        while heap and heap[0][1].id in self._removed:
-            self._removed.discard(heap[0][1].id)
+        removed = self._removed
+        while heap:
+            item_id = heap[0][2]
+            n = removed.get(item_id)
+            if n is None:
+                return
+            if n == 1:
+                del removed[item_id]
+            else:
+                removed[item_id] = n - 1
             heapq.heappop(heap)
 
     def peek(self) -> WorkItem | None:
         if self._removed:
             self._discard_tombstones()
+        front = self._front
         heap = self._heap
-        return heap[0][1] if heap else None
+        if heap and (front is None or heap[0] < front):
+            return heap[0][3]
+        return front[3] if front is not None else None
 
     def pop_best(self, now: float) -> WorkItem | None:
         if self._removed:
             self._discard_tombstones()
-        if not self._heap:
+        front = self._front
+        if front is not None:
+            self._front = None
+            item = heapq.heappushpop(self._heap, front)[3]
+        elif self._heap:
+            item = heapq.heappop(self._heap)[3]
+        else:
             return None
-        item = heapq.heappop(self._heap)[1]
         del self._index[item.id]
         self.priority_counts[item.priority] -= 1
         self.size -= 1
@@ -265,7 +295,11 @@ class WorkQueue:
         item = self._index.pop(item_id, None)
         if item is None:
             raise StructuralError(f"{self.name}: remove of absent item {item_id}")
-        self._removed.add(item_id)
+        front = self._front
+        if front is not None and front[2] == item_id:
+            self._front = None
+        else:
+            self._removed[item_id] = self._removed.get(item_id, 0) + 1
         self.priority_counts[item.priority] -= 1
         self.size -= 1
         _close_episode(item, now)

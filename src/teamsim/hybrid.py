@@ -53,7 +53,7 @@ def summarize_trajectory(traj: SdTrajectory) -> SdSummary:
         mean_mgmt_pressure=traj.mean("mgmt_pressure"),
         mean_stop_rate=traj.mean("stop_rate"),
         mean_error_frac=traj.mean("error_frac"),
-        final_error_frac=traj.aux[-1].error_frac,
+        final_error_frac=traj.columns["error_frac"][-1],
     )
 
 

@@ -224,14 +224,10 @@ def emit_sd_report(traj: SdTrajectory, out_dir: Path, fmt: str = "json") -> list
     _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state_cols = _state_columns()
-    aux_cols = _aux_columns()
-    rows = (
-        [t] + [getattr(s, c) for c in state_cols] + [getattr(a, c) for c in aux_cols]
-        for t, s, a in zip(traj.times, traj.states, traj.aux)
-    )
+    names = _state_columns() + _aux_columns()
+    rows = zip(traj.times, *(traj.columns[c] for c in names))
     p_traj = out_dir / "trajectory.csv"
-    write_csv(p_traj, ["time"] + state_cols + aux_cols, rows)
+    write_csv(p_traj, ["time"] + names, rows)
     summary = {
         "steps": len(traj) - 1,
         "dt": traj.dt,

@@ -140,58 +140,57 @@ class SdAux:
     quality_gap: float
 
 
-def auxiliaries(state: SdState, params: SdParams) -> SdAux:
-    work_pressure = (state.project_backlog + state.ops_backlog) / params.desired_backlog
-    stop_rate = params.s_base * max(
-        0.0, 1.0 + (params.k_pressure_stop - params.k_assist) * state.mgmt_pressure
-    )
-    productivity = max(
-        _PROD_FLOOR,
-        (1.0 - params.k_switch * stop_rate) * (1.0 - params.k_fatigue_prod * state.fatigue),
-    )
-    error_frac = min(
-        _ERROR_CAP, params.base_error_frac * (1.0 + params.k_fatigue_error * state.fatigue)
-    )
-    completion_project = state.project_wip / params.project_completion_days * productivity
-    completion_ops = state.ops_wip / params.ops_completion_days * productivity
-    in_flight = (
-        state.project_backlog + state.ops_backlog + state.project_wip + state.ops_wip
-    )
-    implied_cycle_days = in_flight / max(_EPS, completion_project + completion_ops)
-    timeliness_gap = max(0.0, implied_cycle_days / params.target_cycle_time_days - 1.0)
-    quality_gap = max(0.0, error_frac - params.quality_target) / params.quality_target
-    return SdAux(
-        work_pressure=work_pressure,
-        stop_rate=stop_rate,
-        productivity=productivity,
-        error_frac=error_frac,
-        completion_project=completion_project,
-        completion_ops=completion_ops,
-        implied_cycle_days=implied_cycle_days,
-        timeliness_gap=timeliness_gap,
-        quality_gap=quality_gap,
-    )
-
-
 _STATE_FIELDS = tuple(f.name for f in fields(SdState))
 _AUX_FIELDS = tuple(f.name for f in fields(SdAux))
 _state_values = attrgetter(*_STATE_FIELDS)
-_aux_values = attrgetter(*_AUX_FIELDS)
+
+# The model equations, written once on plain floats.  ``auxiliaries``,
+# ``sd_step`` and ``run_sd`` all evaluate them here; the dataclasses are
+# only the public faces of the tuples these functions pass around, which
+# hold the fields in SdState and SdAux order.  The comparisons written out
+# pick the value ``max(c, x)`` and ``min(x, c)`` return, NaN included.
 
 
-def _step(
-    state: SdState, params: SdParams, dt: float, aux: SdAux | None = None
-) -> tuple[SdState, bool]:
-    """One Euler step.  Returns (new state, whether any outflow was clamped).
+def _aux_values(state: tuple[float, ...], params: SdParams) -> tuple[float, ...]:
+    """The auxiliaries of a state."""
+    pb, wp, _, ob, wo, _, _, fatigue, mgmt = state
+    work_pressure = (pb + ob) / params.desired_backlog
+    stop_factor = 1.0 + (params.k_pressure_stop - params.k_assist) * mgmt
+    stop_rate = params.s_base * (stop_factor if stop_factor > 0.0 else 0.0)
+    productivity = (1.0 - params.k_switch * stop_rate) * (1.0 - params.k_fatigue_prod * fatigue)
+    if not productivity > _PROD_FLOOR:
+        productivity = _PROD_FLOOR
+    error_frac = params.base_error_frac * (1.0 + params.k_fatigue_error * fatigue)
+    if not error_frac < _ERROR_CAP:
+        error_frac = _ERROR_CAP
+    completion_project = wp / params.project_completion_days * productivity
+    completion_ops = wo / params.ops_completion_days * productivity
+    completion = completion_project + completion_ops
+    implied_cycle_days = (pb + ob + wp + wo) / (completion if completion > _EPS else _EPS)
+    timeliness_gap = implied_cycle_days / params.target_cycle_time_days - 1.0
+    quality_gap = error_frac - params.quality_target
+    return (
+        work_pressure,
+        stop_rate,
+        productivity,
+        error_frac,
+        completion_project,
+        completion_ops,
+        implied_cycle_days,
+        timeliness_gap if timeliness_gap > 0.0 else 0.0,
+        (quality_gap if quality_gap > 0.0 else 0.0) / params.quality_target,
+    )
 
-    ``aux`` may pass in ``auxiliaries(state, params)`` when the caller has
-    already evaluated it.
+
+def _step_values(
+    state: tuple[float, ...], aux: tuple[float, ...], params: SdParams, dt: float
+) -> tuple[tuple[float, ...], bool]:
+    """One Euler step from a state and its auxiliaries.
+
+    Returns (new state, whether any outflow was clamped).
     """
-    if aux is None:
-        aux = auxiliaries(state, params)
-    pb, wp = state.project_backlog, state.project_wip
-    ob, wo = state.ops_backlog, state.ops_wip
-    pool = state.rework_pool
+    pb, wp, pc, ob, wo, oc, pool, fatigue, mgmt = state
+    work_pressure, stop_rate, _, err, comp_p, comp_o, _, timeliness_gap, quality_gap = aux
 
     total_backlog = pb + ob
     if total_backlog > _EPS:
@@ -199,13 +198,17 @@ def _step(
         share_o = params.team_capacity_hours * ob / total_backlog
     else:
         share_p = share_o = 0.5 * params.team_capacity_hours
-    pickup_p = min(pb / dt, share_p / params.project_effort_hours)
-    pickup_o = min(ob / dt, share_o / params.ops_effort_hours)
+    pickup_p = pb / dt
+    cap = share_p / params.project_effort_hours
+    if cap < pickup_p:
+        pickup_p = cap
+    pickup_o = ob / dt
+    cap = share_o / params.ops_effort_hours
+    if cap < pickup_o:
+        pickup_o = cap
 
-    comp_p = aux.completion_project
-    comp_o = aux.completion_ops
-    stop_p = aux.stop_rate * wp
-    stop_o = aux.stop_rate * wo
+    stop_p = stop_rate * wp
+    stop_o = stop_rate * wo
     clamped = False
     # scale joint outflows so no stock is driven below zero; scaling both
     # flows by the same factor keeps the chain's mass balance exact
@@ -226,80 +229,93 @@ def _step(
         drain = pool / dt
         clamped = True
 
-    err = aux.error_frac
-    new = SdState(
-        project_backlog=max(
-            0.0, pb + dt * (params.project_arrivals + err * comp_p + stop_p - pickup_p)
-        ),
-        project_wip=max(0.0, wp + dt * (pickup_p - comp_p - stop_p)),
-        project_completed=state.project_completed + dt * (1.0 - err) * comp_p,
-        ops_backlog=max(0.0, ob + dt * (params.ops_arrivals + drain + stop_o - pickup_o)),
-        ops_wip=max(0.0, wo + dt * (pickup_o - comp_o - stop_o)),
-        ops_completed=state.ops_completed + dt * (1.0 - err) * comp_o,
-        rework_pool=max(0.0, pool + dt * (err * comp_o + params.rework_inflow - drain)),
-        fatigue=max(
-            0.0,
-            state.fatigue
-            + dt * (max(0.0, aux.work_pressure - 1.0) - state.fatigue) / params.tau_fatigue,
-        ),
-        mgmt_pressure=max(
-            0.0,
-            state.mgmt_pressure
-            + dt
-            * (params.g_mgmt * (aux.quality_gap + aux.timeliness_gap) - state.mgmt_pressure)
-            / params.tau_mgmt,
-        ),
+    pb += dt * (params.project_arrivals + err * comp_p + stop_p - pickup_p)
+    wp += dt * (pickup_p - comp_p - stop_p)
+    ob += dt * (params.ops_arrivals + drain + stop_o - pickup_o)
+    wo += dt * (pickup_o - comp_o - stop_o)
+    pool += dt * (err * comp_o + params.rework_inflow - drain)
+    pressure = work_pressure - 1.0
+    fatigue += dt * ((pressure if pressure > 0.0 else 0.0) - fatigue) / params.tau_fatigue
+    mgmt += dt * (params.g_mgmt * (quality_gap + timeliness_gap) - mgmt) / params.tau_mgmt
+    new = (
+        pb if pb > 0.0 else 0.0,
+        wp if wp > 0.0 else 0.0,
+        pc + dt * (1.0 - err) * comp_p,
+        ob if ob > 0.0 else 0.0,
+        wo if wo > 0.0 else 0.0,
+        oc + dt * (1.0 - err) * comp_o,
+        pool if pool > 0.0 else 0.0,
+        fatigue if fatigue > 0.0 else 0.0,
+        mgmt if mgmt > 0.0 else 0.0,
     )
     return new, clamped
+
+
+def auxiliaries(state: SdState, params: SdParams) -> SdAux:
+    return SdAux(*_aux_values(_state_values(state), params))
 
 
 def sd_step(state: SdState, params: SdParams, dt: float) -> SdState:
     """Advance the model by one explicit Euler step of size dt."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    return _step(state, params, dt)[0]
+    values = _state_values(state)
+    return SdState(*_step_values(values, _aux_values(values, params), params, dt)[0])
 
 
 @dataclass
 class SdTrajectory:
-    """Recorded run: state and auxiliaries at t = 0, dt, 2 dt, ..."""
+    """Recorded run: state and auxiliaries at t = 0, dt, 2 dt, ...
+
+    Stored by column: ``columns`` maps every SdState and SdAux field name
+    to its value at each recorded time, in the order of ``times``;
+    ``column`` returns a copy of one.  ``states``, ``aux`` and
+    ``final_state`` build the dataclasses from the columns on each access,
+    for callers that want whole records.
+    """
 
     dt: float
     times: list[float]
-    states: list[SdState]
-    aux: list[SdAux]
+    columns: dict[str, list[float]]
     clamp_events: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
 
     @property
+    def states(self) -> list[SdState]:
+        return [SdState(*row) for row in zip(*(self.columns[n] for n in _STATE_FIELDS))]
+
+    @property
+    def aux(self) -> list[SdAux]:
+        return [SdAux(*row) for row in zip(*(self.columns[n] for n in _AUX_FIELDS))]
+
+    @property
     def final_state(self) -> SdState:
-        return self.states[-1]
+        return SdState(*(self.columns[n][-1] for n in _STATE_FIELDS))
 
     def column(self, name: str) -> list[float]:
-        if name in _STATE_FIELDS:
-            return [getattr(s, name) for s in self.states]
-        if name in _AUX_FIELDS:
-            return [getattr(a, name) for a in self.aux]
-        raise ConfigurationError(f"unknown trajectory column {name!r}")
+        try:
+            return list(self.columns[name])
+        except KeyError:
+            raise ConfigurationError(f"unknown trajectory column {name!r}") from None
 
     def mean(self, name: str) -> float:
         col = self.column(name)
         return math.fsum(col) / len(col)
 
 
-def _check_finite(state: SdState, aux: SdAux, t: float) -> None:
+def _check_finite(state: tuple[float, ...], aux: tuple[float, ...], t: float) -> None:
     # a NaN or an infinity makes the sum non-finite, so a finite sum proves
     # every value finite; a non-finite sum of finite values (an overflow)
     # falls through the loops without raising
-    if math.isfinite(sum(_state_values(state)) + sum(_aux_values(aux))):
+    if math.isfinite(sum(state) + sum(aux)):
         return
-    for name in _STATE_FIELDS:
-        if not math.isfinite(getattr(state, name)):
+    for name, v in zip(_STATE_FIELDS, state):
+        if not math.isfinite(v):
             raise EngineError(f"non-finite value in stock {name!r} at t={t:.6f}")
-    for name in _AUX_FIELDS:
-        if not math.isfinite(getattr(aux, name)):
+    for name, v in zip(_AUX_FIELDS, aux):
+        if not math.isfinite(v):
             raise EngineError(f"non-finite value in auxiliary {name!r} at t={t:.6f}")
 
 
@@ -309,9 +325,11 @@ def run_sd(
     """Integrate from ``initial`` until the horizon is covered.
 
     Records the initial state plus every step; the final recorded time is
-    the first multiple of dt at or beyond the horizon.  Aborts with
-    ``EngineError`` naming the first non-finite quantity if the state
-    explodes.
+    the first multiple of dt at or beyond the horizon.  Each step works on
+    float tuples and keeps its nine state and nine auxiliary values as one
+    row; the rows become the trajectory's columns when the run ends, so no
+    SdState or SdAux is built per step.  Aborts with ``EngineError`` naming
+    the first non-finite quantity if the state explodes.
     """
     params.validate()
     initial.validate()
@@ -320,25 +338,24 @@ def run_sd(
     if horizon <= 0.0 or not math.isfinite(horizon):
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     n_steps = math.ceil(horizon / dt - 1e-12)
-    state = initial
-    a = auxiliaries(state, params)
+    state = _state_values(initial)
+    a = _aux_values(state, params)
     _check_finite(state, a, 0.0)
     times = [0.0]
-    states = [state]
-    auxes = [a]
+    rows = [state + a]
     clamp_events = 0
     for i in range(1, n_steps + 1):
-        # a is auxiliaries(state): the step reuses the previous record's
-        state, clamped = _step(state, params, dt, a)
+        # a is the auxiliaries of state: the step reuses the previous row's
+        state, clamped = _step_values(state, a, params, dt)
         if clamped:
             clamp_events += 1
         t = i * dt
-        a = auxiliaries(state, params)
+        a = _aux_values(state, params)
         _check_finite(state, a, t)
         times.append(t)
-        states.append(state)
-        auxes.append(a)
-    return SdTrajectory(dt=dt, times=times, states=states, aux=auxes, clamp_events=clamp_events)
+        rows.append(state + a)
+    columns = dict(zip(_STATE_FIELDS + _AUX_FIELDS, map(list, zip(*rows))))
+    return SdTrajectory(dt=dt, times=times, columns=columns, clamp_events=clamp_events)
 
 
 def mass_residuals(traj: SdTrajectory, params: SdParams) -> list[tuple[float, float, float]]:

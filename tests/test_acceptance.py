@@ -19,12 +19,9 @@ C7  with all gains zero the coupling has an exact identity fixed point
 C8  command line runs are byte-reproducible
 C9  synthetic corpus round-trips through ingestion and rate fitting
 """
-import json
 import math
 import subprocess
 import sys
-
-import pytest
 
 from teamsim.des import DesModifiers, merge_stats, run_des
 from teamsim.domain import Priority

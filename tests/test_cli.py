@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 import yaml

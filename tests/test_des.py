@@ -30,7 +30,7 @@ from teamsim.domain import Affinity, Engineer, Priority, SkillSpec, WorkItem, Wo
 from teamsim.errors import ConfigurationError, StructuralError
 from teamsim.io.scenario import default_scenario
 
-from conftest import mm1_config, mmc_config, plain_engineers, single_class_config, two_skill_config
+from conftest import mm1_config, mmc_config, single_class_config, two_skill_config
 
 
 def make_initial(item_id, demand_hours, priority=Priority.P3, skill=SkillSpec("core", 1)):
@@ -733,6 +733,14 @@ class TestStatsDeclaration:
                 # floats add left to right, as sum() does after its exact 0 + first
                 assert getattr(merged, name) == fold([getattr(p, name) for p in parts]), name
         assert merged.stop_count > 0 and merged.dead_letter_count > 0 and merged.rework_count > 0
+
+    def test_flat_summary_quantiles_match_the_methods(self):
+        stats, _ = run_des(two_skill_config(), seed=4, horizon=60.0, collect_log=False)
+        flat = stats.to_flat_dict()
+        for key in stats.class_keys():
+            stem = f"class.{key[0].value}.{key[1].name.lower()}"
+            assert flat[f"{stem}.median_completion_days"] == stats.median_completion_days(key)
+            assert flat[f"{stem}.p90_completion_days"] == stats.p90_completion_days(key)
 
 
 # hypothesis: teams of several skill types.  "data" has a single engineer, so

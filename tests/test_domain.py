@@ -1,6 +1,6 @@
 """Entity validation and queue-discipline unit tests."""
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim.domain import (
     Affinity,
@@ -230,3 +230,113 @@ def test_queue_drains_sorted_and_conserves(specs):
     # every episode was closed by the pop
     assert all(not i.in_queue for i in drained)
     assert q.size == 0
+
+
+# model-based check against a sorted-list reference: random interleavings of
+# push (of a fresh item or of one that left), pop_best, peek and remove (of
+# the front, the best, or any live item).  Bounded at 200 examples of at most
+# 60 operations, well under a second.  Peeks happen only as drawn operations,
+# because a peek discards tombstones and so changes the state it inspects.
+_QUEUE_OPS = st.one_of(
+    st.tuples(
+        st.just("push"),
+        st.sampled_from([Priority.P1, Priority.P2, Priority.P3]),
+        st.integers(min_value=0, max_value=3),
+        st.none() | st.integers(min_value=0, max_value=20),
+    ),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("peek")),
+    st.tuples(
+        st.just("remove"),
+        st.sampled_from(["front", "best", "any"]),
+        st.integers(min_value=0, max_value=60),
+    ),
+)
+
+
+# an item removed, pushed back and removed again: first from the front
+# slot, then from the heap while its first tombstone is still there
+_P1, _P2, _P3 = Priority.P1, Priority.P2, Priority.P3
+_REMOVED_TWICE_FRONT = [
+    ("push", _P3, 0, None), ("push", _P1, 0, None), ("remove", "front", 0),
+    ("push", _P1, 0, 0), ("remove", "front", 0), ("peek",), ("pop",), ("pop",),
+]
+_REMOVED_TWICE_HEAP = [
+    ("push", _P2, 0, None), ("push", _P1, 0, None), ("remove", "any", 1),
+    ("push", _P3, 0, 0), ("push", _P3, 0, None), ("remove", "any", 0),
+    ("pop",), ("peek",), ("pop",),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_QUEUE_OPS, max_size=60))
+@example(ops=_REMOVED_TWICE_FRONT)
+@example(ops=_REMOVED_TWICE_HEAP)
+def test_queue_matches_sorted_reference(ops):
+    q = WorkQueue()
+    live: dict[int, WorkItem] = {}  # the reference: live items by id
+    left: list[WorkItem] = []  # items that left and may come back
+    entered: dict[int, float] = {}
+    queue_days: dict[int, float] = {}
+    last_pushed = None
+    next_id = 0
+
+    def best():
+        return min(live.values(), key=queue_key) if live else None
+
+    def left_queue(item, now):
+        # the item's episode is closed and summed exactly as the queue sums it
+        queue_days[item.id] += now - entered.pop(item.id)
+        assert not item.in_queue
+        assert item.total_queue_days == queue_days[item.id]
+        del live[item.id]
+        left.append(item)
+
+    for step, op in enumerate(ops):
+        now = float(step)
+        if op[0] == "push":
+            _, priority, arrival, back = op
+            if back is not None and left:
+                item = left.pop(back % len(left))
+            else:
+                item = make_item(next_id, priority, arrival=float(arrival))
+                queue_days[item.id] = 0.0
+                next_id += 1
+            q.push(item, now)
+            live[item.id] = item
+            entered[item.id] = now
+            last_pushed = item.id
+        elif op[0] == "pop":
+            want = best()
+            got = q.pop_best(now)
+            assert got is want
+            if got is not None:
+                left_queue(got, now)
+        elif op[0] == "peek":
+            assert q.peek() is best()
+        elif live:
+            _, which, pick = op
+            if which == "front" and last_pushed in live:
+                target = last_pushed
+            elif which == "best":
+                target = best().id
+            else:
+                target = sorted(live, key=lambda i: queue_key(live[i]))[pick % len(live)]
+            item = live[target]
+            assert q.remove(target, now) is item
+            left_queue(item, now)
+        assert q.size == len(q) == len(live)
+        counts = [0] * len(q.priority_counts)
+        for item in live.values():
+            counts[item.priority] += 1
+        assert q.priority_counts == counts
+        assert all(item.in_queue for item in live.values())
+        assert sorted(i.id for i in q.items()) == sorted(live)
+    now = float(len(ops))
+    while live:
+        want = best()
+        assert q.peek() is want
+        assert q.pop_best(now) is want
+        left_queue(want, now)
+    assert q.peek() is None and q.pop_best(now) is None and q.size == 0
+

@@ -3,7 +3,8 @@
 The C8 acceptance check compares one run against another, so it cannot see
 a change that alters every run the same way.  These digests pin the exact
 bytes instead: event-log lines, summary floats at full ``repr`` precision,
-daily series, the SD trajectory, and the report files: the SD
+daily series (among them a deep-backlog run whose interrupted items go
+back into long queues), the SD trajectory, and the report files: the SD
 ``trajectory.csv`` and ``summary.json``, the hybrid
 ``cycles.json`` and per-cycle NDJSON event logs, and the ``des`` summary,
 queue series and NDJSON event logs of one and of two replications.  A
@@ -37,6 +38,7 @@ GOLDEN = {
     "des-default": "572fba47da79ae45ebdc8b97b0385164c5490cfb560e0a434e2a1bd25fbf8e46",
     "des-mmc4": "b2701a199a8d234048ae02d811f92a26c17ad53ad91c38652a96612db0c476db",
     "des-two-skill": "ca14a5b962fb5c5cb0995b74b68d9ba59d462528d0a2eb020f2dfdb1d5df1416",
+    "des-deep-backlog": "ac6a3a53e9068378bb4c672d54bd2e2100e7c9148a81d92dc5a66203d0e2db42",
     "des-report-single": "1275859a211ad7362ef5cf3150795c63d6f74d7e0359b6568f0a871105da1488",
     "des-report-reps": "05c8d611a65f50be35f0ba5b2c3678bef8b9dfb1924d325cca1b4293ac9c1ff7",
     "des-report-reps-merged": "c6fc4ccf24d663bbdc210cb4c2a315533988692bb156db103c5f9f9f7bc7b5ca",
@@ -98,6 +100,13 @@ def _digest(name: str, tmp_path) -> str:
     if name == "des-two-skill":
         mods = DesModifiers(rework_multiplier=1.5, capacity_factor=0.9, interrupt_rate=0.6)
         return _sha(_des_lines(*run_des(two_skill_config(), mods, seed=3, horizon=300.0)))
+    if name == "des-deep-backlog":
+        # half capacity under heavy interrupts: deep engineer queues that every
+        # interrupt and preemption pushes back into (1,520 items left queued,
+        # 7,147 interrupts, 400 preemptions)
+        sc = default_scenario()
+        mods = DesModifiers(rework_multiplier=1.2, capacity_factor=0.5, interrupt_rate=4.5)
+        return _sha(_des_lines(*run_des(sc.des, mods, seed=sc.seed, horizon=400.0)))
     if name == "sd-default":
         sc = default_scenario()
         traj = run_sd(sc.sd_initial, sc.sd_params, sc.horizon, sc.dt)

@@ -1,7 +1,7 @@
 """Coupling-layer tests: rate extraction, calibration arithmetic, the
 cycle loop, and the identity fixed point."""
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -21,26 +21,21 @@ from teamsim.sd import SdAux, SdState, SdTrajectory
 
 from conftest import mm1_config
 
+SD_COLUMNS = [f.name for f in fields(SdState)] + [f.name for f in fields(SdAux)]
+
 
 def synthetic_trajectory(n, error_frac, mgmt_pressure, stop_rate):
-    """Trajectory stub with constant auxiliaries; only the fields the
+    """Trajectory stub with constant columns; only the columns the
     feedback extraction reads are meaningful."""
-    states = [SdState(mgmt_pressure=mgmt_pressure) for _ in range(n)]
-    aux = [
-        SdAux(
-            work_pressure=1.0,
-            stop_rate=stop_rate,
-            productivity=1.0,
-            error_frac=error_frac,
-            completion_project=0.0,
-            completion_ops=0.0,
-            implied_cycle_days=0.0,
-            timeliness_gap=0.0,
-            quality_gap=0.0,
-        )
-        for _ in range(n)
-    ]
-    return SdTrajectory(dt=0.25, times=[0.25 * i for i in range(n)], states=states, aux=aux)
+    columns = {name: [0.0] * n for name in SD_COLUMNS}
+    columns.update(
+        mgmt_pressure=[mgmt_pressure] * n,
+        stop_rate=[stop_rate] * n,
+        error_frac=[error_frac] * n,
+        work_pressure=[1.0] * n,
+        productivity=[1.0] * n,
+    )
+    return SdTrajectory(dt=0.25, times=[0.25 * i for i in range(n)], columns=columns)
 
 
 def zero_gain_scenario():

@@ -1,0 +1,63 @@
+"""Every import in the package, the tests and the scripts is read.
+
+An AST scan: a name an import binds must appear as a name somewhere in its
+module, or in the module's ``__all__``, or inside a string annotation.
+``from __future__`` imports change how a module compiles and bind nothing
+to read, so they are exempt.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "scripts")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    # bound name -> line of its import
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations += [a.annotation for a in every if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read.update(_read(ast.parse(ann.value, mode="eval")))
+    return read
+
+
+def test_no_import_goes_unread():
+    unread = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read = _read(tree)
+            unread += [
+                f"{path.relative_to(ROOT)}:{line} {name}"
+                for name, line in _imported(tree).items()
+                if name not in read
+            ]
+    assert not unread, "imports never read:\n" + "\n".join(unread)

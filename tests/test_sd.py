@@ -12,11 +12,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from teamsim.errors import ConfigurationError, EngineError
 from teamsim.sd import (
+    _EPS,
+    _ERROR_CAP,
+    _PROD_FLOOR,
+    SdAux,
     SdParams,
     SdState,
     _check_finite,
@@ -282,10 +286,11 @@ class TestTrajectories:
             run_sd(BUSY_INIT, params, 20.0, 0.25)
 
     def test_finiteness_check_names_a_nan_auxiliary(self):
+        # the check takes the float tuples the integrator steps on
         aux = dataclasses.replace(auxiliaries(BUSY_INIT, busy_params()), stop_rate=float("nan"))
         msg = "non-finite value in auxiliary 'stop_rate' at t=1.250000"
         with pytest.raises(EngineError, match=f"^{re.escape(msg)}$"):
-            _check_finite(BUSY_INIT, aux, 1.25)
+            _check_finite(dataclasses.astuple(BUSY_INIT), dataclasses.astuple(aux), 1.25)
 
     def test_finiteness_check_passes_finite_values_whose_sum_overflows(self):
         huge = dataclasses.replace(
@@ -293,7 +298,7 @@ class TestTrajectories:
         )
         aux = auxiliaries(BUSY_INIT, busy_params())
         assert not math.isfinite(sum(dataclasses.astuple(huge)))
-        _check_finite(huge, aux, 0.0)
+        _check_finite(dataclasses.astuple(huge), dataclasses.astuple(aux), 0.0)
 
     def test_column_lookup_rejects_unknown_name(self):
         traj = run_sd(BUSY_INIT, busy_params(), 2.0, 0.25)
@@ -358,3 +363,186 @@ def test_more_fatigue_error_gain_never_reduces_rework(k_fe):
     t0 = run_sd(BUSY_INIT, base, 90.0, 0.25)
     t1 = run_sd(BUSY_INIT, bent, 90.0, 0.25)
     assert t1.final_state.rework_pool >= t0.final_state.rework_pool - 1e-9
+
+
+# The reference below is the object-based integrator the float kernel
+# replaced, kept as it was apart from its optional ``aux`` argument, which
+# is always passed here: every SdState and SdAux built field by field.
+# The kernel must reproduce it bit for bit (compared as float.hex, which
+# tells -0.0 from 0.0).
+def _ref_auxiliaries(state: SdState, params: SdParams) -> SdAux:
+    work_pressure = (state.project_backlog + state.ops_backlog) / params.desired_backlog
+    stop_rate = params.s_base * max(
+        0.0, 1.0 + (params.k_pressure_stop - params.k_assist) * state.mgmt_pressure
+    )
+    productivity = max(
+        _PROD_FLOOR,
+        (1.0 - params.k_switch * stop_rate) * (1.0 - params.k_fatigue_prod * state.fatigue),
+    )
+    error_frac = min(
+        _ERROR_CAP, params.base_error_frac * (1.0 + params.k_fatigue_error * state.fatigue)
+    )
+    completion_project = state.project_wip / params.project_completion_days * productivity
+    completion_ops = state.ops_wip / params.ops_completion_days * productivity
+    in_flight = (
+        state.project_backlog + state.ops_backlog + state.project_wip + state.ops_wip
+    )
+    implied_cycle_days = in_flight / max(_EPS, completion_project + completion_ops)
+    timeliness_gap = max(0.0, implied_cycle_days / params.target_cycle_time_days - 1.0)
+    quality_gap = max(0.0, error_frac - params.quality_target) / params.quality_target
+    return SdAux(
+        work_pressure=work_pressure,
+        stop_rate=stop_rate,
+        productivity=productivity,
+        error_frac=error_frac,
+        completion_project=completion_project,
+        completion_ops=completion_ops,
+        implied_cycle_days=implied_cycle_days,
+        timeliness_gap=timeliness_gap,
+        quality_gap=quality_gap,
+    )
+
+
+def _ref_step(state: SdState, params: SdParams, dt: float, aux: SdAux) -> tuple[SdState, bool]:
+    pb, wp = state.project_backlog, state.project_wip
+    ob, wo = state.ops_backlog, state.ops_wip
+    pool = state.rework_pool
+
+    total_backlog = pb + ob
+    if total_backlog > _EPS:
+        share_p = params.team_capacity_hours * pb / total_backlog
+        share_o = params.team_capacity_hours * ob / total_backlog
+    else:
+        share_p = share_o = 0.5 * params.team_capacity_hours
+    pickup_p = min(pb / dt, share_p / params.project_effort_hours)
+    pickup_o = min(ob / dt, share_o / params.ops_effort_hours)
+
+    comp_p = aux.completion_project
+    comp_o = aux.completion_ops
+    stop_p = aux.stop_rate * wp
+    stop_o = aux.stop_rate * wo
+    clamped = False
+    out_p = (comp_p + stop_p) * dt
+    if out_p > wp and out_p > 0.0:
+        f = wp / out_p
+        comp_p *= f
+        stop_p *= f
+        clamped = True
+    out_o = (comp_o + stop_o) * dt
+    if out_o > wo and out_o > 0.0:
+        f = wo / out_o
+        comp_o *= f
+        stop_o *= f
+        clamped = True
+    drain = pool / params.tau_rework
+    if drain * dt > pool:
+        drain = pool / dt
+        clamped = True
+
+    err = aux.error_frac
+    new = SdState(
+        project_backlog=max(
+            0.0, pb + dt * (params.project_arrivals + err * comp_p + stop_p - pickup_p)
+        ),
+        project_wip=max(0.0, wp + dt * (pickup_p - comp_p - stop_p)),
+        project_completed=state.project_completed + dt * (1.0 - err) * comp_p,
+        ops_backlog=max(0.0, ob + dt * (params.ops_arrivals + drain + stop_o - pickup_o)),
+        ops_wip=max(0.0, wo + dt * (pickup_o - comp_o - stop_o)),
+        ops_completed=state.ops_completed + dt * (1.0 - err) * comp_o,
+        rework_pool=max(0.0, pool + dt * (err * comp_o + params.rework_inflow - drain)),
+        fatigue=max(
+            0.0,
+            state.fatigue
+            + dt * (max(0.0, aux.work_pressure - 1.0) - state.fatigue) / params.tau_fatigue,
+        ),
+        mgmt_pressure=max(
+            0.0,
+            state.mgmt_pressure
+            + dt
+            * (params.g_mgmt * (aux.quality_gap + aux.timeliness_gap) - state.mgmt_pressure)
+            / params.tau_mgmt,
+        ),
+    )
+    return new, clamped
+
+
+def _bits(values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+_stock = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=200.0))
+_gain = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+_sd_states = st.builds(
+    SdState,
+    project_backlog=_stock,
+    project_wip=_stock,
+    project_completed=_stock,
+    ops_backlog=_stock,
+    ops_wip=_stock,
+    ops_completed=_stock,
+    rework_pool=_stock,
+    fatigue=st.floats(min_value=0.0, max_value=3.0),
+    mgmt_pressure=st.floats(min_value=0.0, max_value=5.0),
+)
+_sd_params = st.builds(
+    SdParams,
+    project_arrivals=st.floats(min_value=0.0, max_value=10.0),
+    ops_arrivals=st.floats(min_value=0.0, max_value=10.0),
+    # completion times well under dt clamp the outflows
+    project_completion_days=st.floats(min_value=0.01, max_value=20.0),
+    ops_completion_days=st.floats(min_value=0.01, max_value=20.0),
+    team_capacity_hours=st.floats(min_value=0.0, max_value=100.0),
+    desired_backlog=st.floats(min_value=1.0, max_value=100.0),
+    tau_rework=st.floats(min_value=0.05, max_value=20.0),
+    s_base=st.floats(min_value=0.0, max_value=0.3),
+    g_mgmt=_gain,
+    k_pressure_stop=_gain,
+    k_assist=_gain,
+    k_switch=_gain,
+    k_fatigue_prod=_gain,
+    k_fatigue_error=_gain,
+    base_error_frac=st.floats(min_value=0.0, max_value=0.5),
+    rework_inflow=st.floats(min_value=0.0, max_value=2.0),
+)
+_EMPTY_BACKLOG = SdState(project_wip=4.0, ops_wip=2.0, rework_pool=1.0, fatigue=0.4)
+_ZERO_GAINS = inert_params(team_capacity_hours=20.0, ops_arrivals=1.0)
+_CLAMPING = busy_params(ops_completion_days=0.05, project_completion_days=0.05, tau_rework=0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=_sd_states, params=_sd_params, dt=st.sampled_from([0.05, 0.25, 0.5, 1.0]))
+@example(state=_EMPTY_BACKLOG, params=busy_params(), dt=0.25)
+@example(state=BUSY_INIT, params=_ZERO_GAINS, dt=0.25)
+@example(state=BUSY_INIT, params=_CLAMPING, dt=0.25)
+def test_float_kernel_matches_object_reference(state, params, dt):
+    aux = _ref_auxiliaries(state, params)
+    assert _bits(dataclasses.astuple(auxiliaries(state, params))) == _bits(
+        dataclasses.astuple(aux)
+    )
+    want, _ = _ref_step(state, params, dt, aux)
+    assert _bits(dataclasses.astuple(sd_step(state, params, dt))) == _bits(
+        dataclasses.astuple(want)
+    )
+    # a short run: every recorded column, the times and the clamp count
+    traj = run_sd(state, params, horizon=8.0, dt=dt)
+    s, a = state, aux
+    times, states, auxes, clamps = [0.0], [s], [a], 0
+    for i in range(1, math.ceil(8.0 / dt - 1e-12) + 1):
+        s, clamped = _ref_step(s, params, dt, a)
+        clamps += clamped
+        a = _ref_auxiliaries(s, params)
+        times.append(i * dt)
+        states.append(s)
+        auxes.append(a)
+    assert traj.times == times
+    assert traj.clamp_events == clamps
+    for f in dataclasses.fields(SdState):
+        assert _bits(traj.column(f.name)) == _bits(getattr(x, f.name) for x in states)
+    for f in dataclasses.fields(SdAux):
+        assert _bits(traj.column(f.name)) == _bits(getattr(x, f.name) for x in auxes)
+    assert traj.final_state == states[-1] and traj.states == states and traj.aux == auxes
+
+
+def test_clamping_example_clamps():
+    # the reference comparison's clamping example does reach the clamp
+    assert run_sd(BUSY_INIT, _CLAMPING, 8.0, 0.25).clamp_events > 0
