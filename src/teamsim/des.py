@@ -23,9 +23,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from .domain import (
     Affinity,
@@ -38,7 +42,7 @@ from .domain import (
     trusted_item,
     WorkQueue,
 )
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, EngineError, StructuralError
 
 EventRecord = tuple[float, str, int, int, str]
 
@@ -52,6 +56,12 @@ _SEG_SKILL_STOP = 1
 _SEG_INTERRUPT = 2
 
 _MIX_TOL = 1e-9
+
+# At most one management interruption per minute of busy time, on average.
+# Each interrupt re-draws the segment end as t + gap; at rates near 1e17 a
+# day the gap rounds away, t + gap == t, and the clock stops.  A minute is
+# far above a day's float resolution at any horizon a run can hold in memory.
+MAX_INTERRUPT_RATE = 24.0 * 60.0
 
 
 def sample_interarrival(rate: float, rng) -> float:
@@ -213,8 +223,12 @@ class DesModifiers:
             raise ConfigurationError("rework_multiplier must be finite and >= 0")
         if not 0.0 < self.capacity_factor <= 1.0:
             raise ConfigurationError("capacity_factor must lie in (0, 1]")
-        if self.interrupt_rate < 0.0 or not math.isfinite(self.interrupt_rate):
-            raise ConfigurationError("interrupt_rate must be finite and >= 0")
+        # false for NaN and inf, so they fail it too
+        if not 0.0 <= self.interrupt_rate <= MAX_INTERRUPT_RATE:
+            raise ConfigurationError(
+                f"interrupt_rate must lie in [0, {MAX_INTERRUPT_RATE:g}] per engineer per "
+                f"busy day (a mean gap of at least a minute), got {self.interrupt_rate!r}"
+            )
 
 
 @dataclass
@@ -337,6 +351,11 @@ class DesStats:
     Merging pools raw samples and sums counters, so every derived statistic
     of ``merge_stats(a, b)`` equals that of ``merge_stats(b, a)`` exactly
     (sample means use exact summation, quantiles sort first).
+
+    Per-class samples are flat ``array('d')`` buffers, 8 bytes a sample, so
+    pooling them is a block copy and a ``DesStats`` pickles compactly for
+    worker processes; they are read only through ``math.fsum``, ``sorted``
+    and ``len``.
     """
 
     # scalar counters, each with the summary key it is reported under
@@ -389,8 +408,8 @@ class DesStats:
             self.queue_time_samples[key].append(queue_days)
         else:
             self.completed[key] = 1
-            self.completion_samples[key] = [days]
-            self.queue_time_samples[key] = [queue_days]
+            self.completion_samples[key] = array("d", (days,))
+            self.queue_time_samples[key] = array("d", (queue_days,))
             if n_days > 0:
                 self.daily_completion_sum[key] = [0.0] * n_days
                 self.daily_completion_count[key] = [0] * n_days
@@ -559,18 +578,19 @@ def merge_stats(a: DesStats, b: DesStats) -> DesStats:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
                 acc[key] = acc.get(key, 0) + v
+        # new buffers and lists throughout, so out shares no storage with a or b
         for name in DesStats.CLASS_SAMPLES:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
-                acc.setdefault(key, []).extend(v)
+                if key in acc:
+                    acc[key].extend(v)
+                else:
+                    acc[key] = array("d", v)
         for name in DesStats.CLASS_DAILY:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
-                if key not in acc:
-                    acc[key] = [0] * out.n_days
-                series = acc[key]
-                for i in range(len(v)):
-                    series[i] += v[i]
+                # a copy equals 0 + v day by day: day sums are >= 0, never -0.0
+                acc[key] = [x + y for x, y in zip(acc[key], v)] if key in acc else list(v)
     return out
 
 
@@ -605,6 +625,13 @@ class _Server:
         self.epoch = 0
 
 
+def _validate_run(config: DesConfig, modifiers: DesModifiers, horizon: float) -> None:
+    config.validate()
+    modifiers.validate()
+    if horizon <= 0.0 or not math.isfinite(horizon):
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+
+
 class DesEngine:
     """Single-replication engine; see ``run_des`` for the public entry point."""
 
@@ -619,10 +646,7 @@ class DesEngine:
     ) -> None:
         import random as _random
 
-        config.validate()
-        modifiers.validate()
-        if horizon <= 0.0 or not math.isfinite(horizon):
-            raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+        _validate_run(config, modifiers, horizon)
         self.cfg = config
         self.modifiers = modifiers
         self.horizon = horizon
@@ -949,21 +973,81 @@ def run_des_replicated(
     horizon: float = 126.0,
     replications: int = 1,
     log_sink: Callable[[int, list[EventRecord]], None] | None = None,
+    workers: int = 1,
 ) -> DesStats:
     """Run ``replications`` independent replications with seeds seed, seed+1, ...
 
-    Returns the stats pooled with ``merge_stats``.  Event logs are collected
-    only for a ``log_sink``: replication ``i``'s log is handed to
-    ``log_sink(i, log)`` as soon as it ends and is not kept.
+    Returns the stats pooled with ``merge_stats``, left-folded in seed
+    order.  Event logs are collected only for a ``log_sink``: replication
+    ``i``'s log is handed to ``log_sink(i, log)`` as soon as it ends and is
+    not kept.
+
+    ``workers`` above 1 runs the replications in that many worker
+    processes, started with the ``spawn`` method and capped at the
+    replication count and at the CPUs this process may use.  The workers
+    return each replication's ``DesStats`` and this process folds them as
+    they arrive, still in seed order, so the result is identical for every
+    ``workers``.  The configuration is validated here before any process
+    starts, and every worker has exited when the call returns.  A
+    ``log_sink`` needs ``workers=1``: it is called in this process, one
+    replication at a time and in order.
     """
     if replications < 1:
         raise ConfigurationError("replications must be >= 1")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if log_sink is not None and workers > 1:
+        raise ConfigurationError("a log sink needs workers=1: event logs are written in-process")
+    modifiers = modifiers or DesModifiers.identity()
+    _validate_run(config, modifiers, horizon)
+    run = partial(run_des, config, modifiers, horizon=horizon, collect_log=log_sink is not None)
+    seeds = range(seed, seed + replications)
+    workers = min(workers, replications, _usable_cpus())
+    if workers == 1:
+        return _fold(map(run, seeds), log_sink)
+    # imported here: they would add to the start-up of every command
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return _fold(_in_order(pool, run, seeds, in_flight=2 * workers), None)
+    except BrokenProcessPool as e:
+        raise EngineError(f"a replication worker process ended abruptly: {e}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(pool, fn, args: Iterable, in_flight: int) -> Iterator:
+    """``fn(arg)`` for each arg, computed on ``pool`` and yielded in order.
+
+    At most ``in_flight`` calls are submitted and unread at any time, so
+    finished results wait in this process only while an earlier one runs.
+    """
+    args = iter(args)
+    pending = [pool.submit(fn, a) for a in islice(args, in_flight)]
+    while pending:
+        result = pending.pop(0).result()
+        pending.extend(pool.submit(fn, a) for a in islice(args, 1))
+        yield result
+
+
+def _fold(results: Iterator[tuple[DesStats, list[EventRecord]]], log_sink) -> DesStats:
     merged: DesStats | None = None
-    for i in range(replications):
-        stats, log = run_des(config, modifiers, seed + i, horizon, collect_log=log_sink is not None)
+    # counted by hand: enumerate() keeps its last result tuple, and with it
+    # the last log, alive while the next replication runs
+    i = 0
+    for stats, log in results:
         if log_sink is not None:
             log_sink(i, log)
         # drop this replication's log before the next one runs
         del log
         merged = stats if merged is None else merge_stats(merged, stats)
+        i += 1
     return merged

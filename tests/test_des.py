@@ -6,7 +6,9 @@ statistical cases check sampling distributions and queueing identities on
 single seeds with generous bands.  The tight multi-seed tolerance checks
 live in test_acceptance.py.
 """
+import copy
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from teamsim.des import (
     DesStats,
     EventCalendar,
     GeneratorConfig,
+    MAX_INTERRUPT_RATE,
     merge_stats,
     run_des,
     run_des_replicated,
@@ -27,10 +30,10 @@ from teamsim.des import (
     sample_interarrival,
 )
 from teamsim.domain import Affinity, Engineer, Priority, SkillSpec, WorkItem, WorkType
-from teamsim.errors import ConfigurationError, StructuralError
+from teamsim.errors import ConfigurationError, EngineError, StructuralError
 from teamsim.io.scenario import default_scenario
 
-from conftest import mm1_config, mmc_config, single_class_config, two_skill_config
+from conftest import exit_abruptly, mm1_config, mmc_config, single_class_config, two_skill_config
 
 
 def make_initial(item_id, demand_hours, priority=Priority.P3, skill=SkillSpec("core", 1)):
@@ -464,6 +467,21 @@ class TestInterrupts:
         stats, _ = run_des(quiet_config(), seed=6, horizon=50.0, initial_items=[make_initial(0, 80.0)])
         assert stats.stop_interrupt == 0
 
+    @pytest.mark.parametrize("rate", [-1.0, 1440.5, 1e17, math.inf, math.nan])
+    def test_rates_beyond_one_a_minute_are_rejected(self, rate):
+        # at 1e17 a day the next interrupt rounds onto the segment start and
+        # the clock stalls; the bound is one a minute of busy time on average
+        with pytest.raises(ConfigurationError, match="interrupt_rate"):
+            DesModifiers(interrupt_rate=rate).validate()
+
+    def test_the_bound_itself_runs(self):
+        assert MAX_INTERRUPT_RATE == 1440.0
+        stats, _ = run_des(
+            quiet_config(), DesModifiers(interrupt_rate=MAX_INTERRUPT_RATE), seed=6,
+            horizon=2.0, initial_items=[make_initial(0, 8.0)],
+        )
+        assert stats.stop_interrupt > 1000
+
 
 # ----------------------------------------------------- whole-run properties
 
@@ -697,6 +715,48 @@ class TestMergeAndReplication:
         assert merged.replications == 3
 
 
+class TestWorkers:
+    """Replications on worker processes pool to the same bytes as in-process."""
+
+    def test_two_workers_match_one(self):
+        sc = default_scenario()
+        runs = {
+            w: run_des_replicated(sc.des, seed=3, horizon=40.0, replications=6, workers=w)
+            for w in (1, 2)
+        }
+        assert multiprocessing.active_children() == []
+        one, two = runs[1], runs[2]
+        assert repr(two.to_flat_dict()) == repr(one.to_flat_dict())
+        for name in DesStats.CLASS_DAILY + DesStats.PRIORITY_DAILY:
+            assert repr(getattr(two, name)) == repr(getattr(one, name)), name
+        assert [two.priority_daily_mean(p) for p in Priority] == [
+            one.priority_daily_mean(p) for p in Priority
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"workers": 0}, "workers must be >= 1"),
+            ({"workers": 2, "log_sink": lambda k, log: None}, "log sink needs workers=1"),
+            ({"workers": 2, "modifiers": DesModifiers(interrupt_rate=1e17)}, "interrupt_rate"),
+            ({"workers": 2, "horizon": math.inf}, "horizon"),
+        ],
+    )
+    def test_bad_input_fails_before_any_worker_starts(self, kwargs, match):
+        args = {"seed": 1, "horizon": 10.0, "replications": 4, **kwargs}
+        with pytest.raises(ConfigurationError, match=match):
+            run_des_replicated(mm1_config(), **args)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_engine_error(self, monkeypatch):
+        # the workers unpickle run_des by name; here it names a function that
+        # ends its process at once
+        monkeypatch.setattr("teamsim.des.run_des", exit_abruptly)
+        with pytest.raises(EngineError, match="worker process ended abruptly"):
+            run_des_replicated(mm1_config(), seed=1, horizon=10.0, replications=4, workers=2)
+        assert multiprocessing.active_children() == []
+
+
 def _by_key(parts, combine):
     # one entry per key of any part, combining the parts that have it, in order
     keys = dict.fromkeys(k for p in parts for k in p)
@@ -719,6 +779,11 @@ _FOLDS = {
 }
 
 
+def _as_lists(kind, value):
+    # samples are array('d'), which never equals a list: compare both as lists
+    return {k: list(v) for k, v in value.items()} if kind == "CLASS_SAMPLES" else value
+
+
 class TestStatsDeclaration:
     def test_every_stored_field_is_a_declared_accumulator(self):
         declared = {name for kind in _FOLDS for name in getattr(DesStats, kind)}
@@ -731,8 +796,40 @@ class TestStatsDeclaration:
         for kind, fold in _FOLDS.items():
             for name in getattr(DesStats, kind):
                 # floats add left to right, as sum() does after its exact 0 + first
-                assert getattr(merged, name) == fold([getattr(p, name) for p in parts]), name
+                expected = fold([getattr(p, name) for p in parts])
+                assert _as_lists(kind, getattr(merged, name)) == _as_lists(kind, expected), name
         assert merged.stop_count > 0 and merged.dead_letter_count > 0 and merged.rework_count > 0
+
+    def test_replicated_fold_matches_a_list_fold_value_for_value(self):
+        # repr tells 1 from 1.0 and prints every float exactly, so values and
+        # their types must both match the independent fold
+        sc = default_scenario()
+        merged = run_des_replicated(sc.des, seed=40, horizon=sc.horizon, replications=20)
+        parts = [run_des(sc.des, seed=40 + i, horizon=sc.horizon, collect_log=False)[0]
+                 for i in range(20)]
+        assert merged.replications == 20
+        for kind, fold in _FOLDS.items():
+            for name in getattr(DesStats, kind):
+                expected = fold([getattr(p, name) for p in parts])
+                assert repr(_as_lists(kind, getattr(merged, name))) == repr(
+                    _as_lists(kind, expected)
+                ), name
+
+    def test_merge_neither_mutates_nor_aliases_its_inputs(self):
+        mods = DesModifiers(rework_multiplier=1.5, interrupt_rate=0.6)
+        a, _ = run_des(two_skill_config(), mods, seed=1, horizon=30.0, collect_log=False)
+        b, _ = run_des(two_skill_config(), mods, seed=2, horizon=30.0, collect_log=False)
+        empty = DesStats(30.0)
+        # keys in both inputs, and keys new to the fold from either side
+        for x, y in ((a, b), (empty, b), (a, empty)):
+            before = copy.deepcopy((vars(x), vars(y)))
+            out = merge_stats(x, y)
+            assert (vars(x), vars(y)) == before
+            for kind in ("CLASS_SAMPLES", "CLASS_DAILY", "PRIORITY_DAILY"):
+                for name in getattr(DesStats, kind):
+                    for series in getattr(out, name).values():
+                        series.extend([7.0, 7.0])
+            assert (vars(x), vars(y)) == before
 
     def test_flat_summary_quantiles_match_the_methods(self):
         stats, _ = run_des(two_skill_config(), seed=4, horizon=60.0, collect_log=False)
