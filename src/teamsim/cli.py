@@ -103,15 +103,11 @@ def _cmd_des(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     horizon = scenario.horizon if args.horizon is None else args.horizon
     reps = scenario.replications if args.reps is None else args.reps
-    if args.out and args.workers != 1:
-        # checked before the sink creates --out
-        raise ConfigurationError("--out writes event logs in-process: use --workers 1")
     # the sink creates --out before the first replication and writes each
     # replication's log as soon as it ends
     sink = des_log_sink(Path(args.out), reps) if args.out else None
     stats = run_des_replicated(
-        scenario.des, None, seed=seed, horizon=horizon, replications=reps, log_sink=sink,
-        workers=args.workers,
+        scenario.des, None, seed=seed, horizon=horizon, replications=reps, log_sink=sink
     )
     if sink is not None:
         for p in emit_des_report(stats, sink.out_dir, args.format, log_sink=sink):
@@ -204,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the replications (default 1: in-process)",
-    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="directory for reports (default: print summary)")
     p.set_defaults(func=_cmd_des)

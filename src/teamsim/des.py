@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .domain import (
     Affinity,
@@ -42,7 +39,7 @@ from .domain import (
     trusted_item,
     WorkQueue,
 )
-from .errors import ConfigurationError, EngineError, StructuralError
+from .errors import ConfigurationError, StructuralError
 
 EventRecord = tuple[float, str, int, int, str]
 
@@ -353,9 +350,8 @@ class DesStats:
     (sample means use exact summation, quantiles sort first).
 
     Per-class samples are flat ``array('d')`` buffers, 8 bytes a sample, so
-    pooling them is a block copy and a ``DesStats`` pickles compactly for
-    worker processes; they are read only through ``math.fsum``, ``sorted``
-    and ``len``.
+    pooling them is a block copy; they are read only through ``math.fsum``,
+    ``sorted`` and ``len``.
     """
 
     # scalar counters, each with the summary key it is reported under
@@ -625,13 +621,6 @@ class _Server:
         self.epoch = 0
 
 
-def _validate_run(config: DesConfig, modifiers: DesModifiers, horizon: float) -> None:
-    config.validate()
-    modifiers.validate()
-    if horizon <= 0.0 or not math.isfinite(horizon):
-        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-
-
 class DesEngine:
     """Single-replication engine; see ``run_des`` for the public entry point."""
 
@@ -646,7 +635,10 @@ class DesEngine:
     ) -> None:
         import random as _random
 
-        _validate_run(config, modifiers, horizon)
+        config.validate()
+        modifiers.validate()
+        if horizon <= 0.0 or not math.isfinite(horizon):
+            raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
         self.cfg = config
         self.modifiers = modifiers
         self.horizon = horizon
@@ -973,7 +965,6 @@ def run_des_replicated(
     horizon: float = 126.0,
     replications: int = 1,
     log_sink: Callable[[int, list[EventRecord]], None] | None = None,
-    workers: int = 1,
 ) -> DesStats:
     """Run ``replications`` independent replications with seeds seed, seed+1, ...
 
@@ -981,73 +972,15 @@ def run_des_replicated(
     order.  Event logs are collected only for a ``log_sink``: replication
     ``i``'s log is handed to ``log_sink(i, log)`` as soon as it ends and is
     not kept.
-
-    ``workers`` above 1 runs the replications in that many worker
-    processes, started with the ``spawn`` method and capped at the
-    replication count and at the CPUs this process may use.  The workers
-    return each replication's ``DesStats`` and this process folds them as
-    they arrive, still in seed order, so the result is identical for every
-    ``workers``.  The configuration is validated here before any process
-    starts, and every worker has exited when the call returns.  A
-    ``log_sink`` needs ``workers=1``: it is called in this process, one
-    replication at a time and in order.
     """
     if replications < 1:
         raise ConfigurationError("replications must be >= 1")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if log_sink is not None and workers > 1:
-        raise ConfigurationError("a log sink needs workers=1: event logs are written in-process")
-    modifiers = modifiers or DesModifiers.identity()
-    _validate_run(config, modifiers, horizon)
-    run = partial(run_des, config, modifiers, horizon=horizon, collect_log=log_sink is not None)
-    seeds = range(seed, seed + replications)
-    workers = min(workers, replications, _usable_cpus())
-    if workers == 1:
-        return _fold(map(run, seeds), log_sink)
-    # imported here: they would add to the start-up of every command
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        return _fold(_in_order(pool, run, seeds, in_flight=2 * workers), None)
-    except BrokenProcessPool as e:
-        raise EngineError(f"a replication worker process ended abruptly: {e}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_order(pool, fn, args: Iterable, in_flight: int) -> Iterator:
-    """``fn(arg)`` for each arg, computed on ``pool`` and yielded in order.
-
-    At most ``in_flight`` calls are submitted and unread at any time, so
-    finished results wait in this process only while an earlier one runs.
-    """
-    args = iter(args)
-    pending = [pool.submit(fn, a) for a in islice(args, in_flight)]
-    while pending:
-        result = pending.pop(0).result()
-        pending.extend(pool.submit(fn, a) for a in islice(args, 1))
-        yield result
-
-
-def _fold(results: Iterator[tuple[DesStats, list[EventRecord]]], log_sink) -> DesStats:
     merged: DesStats | None = None
-    # counted by hand: enumerate() keeps its last result tuple, and with it
-    # the last log, alive while the next replication runs
-    i = 0
-    for stats, log in results:
+    for i in range(replications):
+        stats, log = run_des(config, modifiers, seed + i, horizon, collect_log=log_sink is not None)
         if log_sink is not None:
             log_sink(i, log)
         # drop this replication's log before the next one runs
         del log
         merged = stats if merged is None else merge_stats(merged, stats)
-        i += 1
     return merged

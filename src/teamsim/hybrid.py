@@ -173,9 +173,9 @@ def run_hybrid(
     (largest relative component change) between consecutive cycles.
     Event logs are collected only for a ``log_sink``: cycle ``k``'s log is
     handed to ``log_sink(k, log)`` as soon as that cycle's event-model run
-    ends and is not kept.  A cycle's feedback modifiers are validated before
-    they drive the next cycle, so an interrupt rate beyond
-    ``des.MAX_INTERRUPT_RATE`` ends the run with a ``ConfigurationError``.
+    ends and is not kept.  The next cycle's ``run_des`` validates the fed-back
+    modifiers, so an interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends
+    the run with a ``ConfigurationError``.
     """
     cycles_max = scenario.cycles_max if cycles_max is None else cycles_max
     seed = scenario.seed if seed is None else seed
@@ -223,15 +223,6 @@ def run_hybrid(
             converged = True
             break
         prev_out = out
-        if k + 1 < cycles_max:
-            # checked here, not only by the next run, to name where the rate came from
-            try:
-                out.validate()
-            except ConfigurationError as e:
-                raise ConfigurationError(
-                    f"cycle {k}'s feedback cannot drive cycle {k + 1} "
-                    f"(see des.interrupt_base_rate): {e}"
-                ) from None
         modifiers = out
 
     return HybridReport(cycles=cycles, converged=converged)

@@ -87,10 +87,3 @@ def two_skill_config() -> DesConfig:
         rework_priority_mix=(0.3, 0.7, 0.0),
         rework_service_mean_hours=3.0,
     )
-
-
-def exit_abruptly(*args, **kwargs):
-    """Stand-in for a replication that kills its worker process outright."""
-    import os
-
-    os._exit(1)

@@ -184,32 +184,12 @@ class TestSdCommand:
 
 
 def test_importing_the_entry_module_runs_nothing():
-    # only `python -m teamsim` runs the command line; a tool or a worker
+    # only `python -m teamsim` runs the command line; a tool or a spawned
     # process that imports the module must not
     res = subprocess.run(
         [sys.executable, "-c", "import teamsim.__main__"], capture_output=True, text=True, timeout=60
     )
     assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
-
-
-class TestDesWorkers:
-    def test_two_workers_print_what_one_prints(self, capsys):
-        argv = ["des", "default", "--reps", "4", "--horizon", "30", "--seed", "5"]
-        assert cli.main(argv) == 0
-        one = capsys.readouterr().out
-        assert cli.main(argv + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out == one and "replications=4" in one
-
-    @pytest.mark.parametrize(
-        "workers, with_out, message",
-        [("0", False, "workers must be >= 1"), ("2", True, "--workers 1")],
-    )
-    def test_bad_workers_exit_one_before_any_run(self, tmp_path, capsys, workers, with_out, message):
-        out = tmp_path / "report"
-        argv = ["des", "default", "--reps", "2", "--workers", workers]
-        assert cli.main(argv + (["--out", str(out)] if with_out else [])) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestHybridCommand:
@@ -227,7 +207,7 @@ class TestHybridCommand:
         env = {"TEAMSIM_DES__INTERRUPT_BASE_RATE": "1e17", "TEAMSIM_HORIZON": "20"}
         res = run_cli("hybrid", "default", "--cycles", "2", env=env, timeout=30)
         assert res.returncode == 1
-        assert "interrupt_rate" in res.stderr and "cycle 0" in res.stderr
+        assert "interrupt_rate" in res.stderr
         assert "Traceback" not in res.stderr
 
 

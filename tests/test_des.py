@@ -8,7 +8,6 @@ live in test_acceptance.py.
 """
 import copy
 import math
-import multiprocessing
 import random
 
 import pytest
@@ -30,10 +29,10 @@ from teamsim.des import (
     sample_interarrival,
 )
 from teamsim.domain import Affinity, Engineer, Priority, SkillSpec, WorkItem, WorkType
-from teamsim.errors import ConfigurationError, EngineError, StructuralError
+from teamsim.errors import ConfigurationError, StructuralError
 from teamsim.io.scenario import default_scenario
 
-from conftest import exit_abruptly, mm1_config, mmc_config, single_class_config, two_skill_config
+from conftest import mm1_config, mmc_config, single_class_config, two_skill_config
 
 
 def make_initial(item_id, demand_hours, priority=Priority.P3, skill=SkillSpec("core", 1)):
@@ -713,48 +712,6 @@ class TestMergeAndReplication:
         manual = merge_stats(merge_stats(parts[0], parts[1]), parts[2])
         assert merged.to_flat_dict() == manual.to_flat_dict()
         assert merged.replications == 3
-
-
-class TestWorkers:
-    """Replications on worker processes pool to the same bytes as in-process."""
-
-    def test_two_workers_match_one(self):
-        sc = default_scenario()
-        runs = {
-            w: run_des_replicated(sc.des, seed=3, horizon=40.0, replications=6, workers=w)
-            for w in (1, 2)
-        }
-        assert multiprocessing.active_children() == []
-        one, two = runs[1], runs[2]
-        assert repr(two.to_flat_dict()) == repr(one.to_flat_dict())
-        for name in DesStats.CLASS_DAILY + DesStats.PRIORITY_DAILY:
-            assert repr(getattr(two, name)) == repr(getattr(one, name)), name
-        assert [two.priority_daily_mean(p) for p in Priority] == [
-            one.priority_daily_mean(p) for p in Priority
-        ]
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"workers": 0}, "workers must be >= 1"),
-            ({"workers": 2, "log_sink": lambda k, log: None}, "log sink needs workers=1"),
-            ({"workers": 2, "modifiers": DesModifiers(interrupt_rate=1e17)}, "interrupt_rate"),
-            ({"workers": 2, "horizon": math.inf}, "horizon"),
-        ],
-    )
-    def test_bad_input_fails_before_any_worker_starts(self, kwargs, match):
-        args = {"seed": 1, "horizon": 10.0, "replications": 4, **kwargs}
-        with pytest.raises(ConfigurationError, match=match):
-            run_des_replicated(mm1_config(), **args)
-        assert multiprocessing.active_children() == []
-
-    def test_a_worker_that_dies_is_an_engine_error(self, monkeypatch):
-        # the workers unpickle run_des by name; here it names a function that
-        # ends its process at once
-        monkeypatch.setattr("teamsim.des.run_des", exit_abruptly)
-        with pytest.raises(EngineError, match="worker process ended abruptly"):
-            run_des_replicated(mm1_config(), seed=1, horizon=10.0, replications=4, workers=2)
-        assert multiprocessing.active_children() == []
 
 
 def _by_key(parts, combine):
