@@ -242,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as e:
+        print(f"i/o error: undecodable input: {e}", file=sys.stderr)
+        return 2
     except (StructuralError, EngineError) as e:
         print(f"engine error: {e}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .domain import (
     Affinity,
@@ -112,19 +112,27 @@ def _sample_priority(p1_cut: float, p12_cut: float, rng) -> Priority:
     return Priority.P3
 
 
+class SkillShare(NamedTuple):
+    """One entry of a skill mix: a required skill and its probability."""
+
+    skill: SkillSpec
+    p: float
+
+
 @dataclass
 class GeneratorConfig:
     """One Poisson source of work of a single type.
 
     ``priority_mix`` and ``service_mean_hours`` are aligned (P1, P2, P3)
-    triples; ``skill_mix`` assigns a required skill to each item.
+    triples; ``skill_mix`` assigns a required skill to each item, and a
+    plain ``(skill, p)`` pair serves as an entry.
     """
 
     work_type: WorkType
     daily_rate: float
     priority_mix: tuple[float, float, float]
     service_mean_hours: tuple[float, float, float]
-    skill_mix: tuple[tuple[SkillSpec, float], ...]
+    skill_mix: tuple[SkillShare, ...]
 
     def validate(self) -> None:
         name = f"generator[{self.work_type.value}]"

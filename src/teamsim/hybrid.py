@@ -14,8 +14,7 @@ the scenario seed alone.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .des import DesModifiers, DesStats, EventRecord, run_des
@@ -133,11 +132,7 @@ def modifier_change(a: DesModifiers, b: DesModifiers) -> float:
         m = max(abs(x), abs(y))
         return abs(x - y) / m if m > 0.0 else 0.0
 
-    return max(
-        rel(a.rework_multiplier, b.rework_multiplier),
-        rel(a.capacity_factor, b.capacity_factor),
-        rel(a.interrupt_rate, b.interrupt_rate),
-    )
+    return max(rel(getattr(a, f.name), getattr(b, f.name)) for f in fields(DesModifiers))
 
 
 @dataclass
@@ -177,24 +172,23 @@ def run_hybrid(
     modifiers, so an interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends
     the run with a ``ConfigurationError``.
     """
-    cycles_max = scenario.cycles_max if cycles_max is None else cycles_max
-    seed = scenario.seed if seed is None else seed
-    tol = scenario.tol if tol is None else tol
-    if cycles_max < 1:
-        raise ConfigurationError("cycles_max must be >= 1")
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    scenario = replace(
+        scenario,
+        cycles_max=scenario.cycles_max if cycles_max is None else cycles_max,
+        seed=scenario.seed if seed is None else seed,
+        tol=scenario.tol if tol is None else tol,
+    )
     scenario.validate()
 
     modifiers = DesModifiers.identity()
     cycles: list[CycleRecord] = []
     converged = False
     prev_out: DesModifiers | None = None
-    for k in range(cycles_max):
+    for k in range(scenario.cycles_max):
         stats, log = run_des(
             scenario.des,
             modifiers,
-            seed=seed + k,
+            seed=scenario.seed + k,
             horizon=scenario.horizon,
             collect_log=log_sink is not None,
         )
@@ -219,7 +213,7 @@ def run_hybrid(
                 des_stats=stats,
             )
         )
-        if prev_out is not None and modifier_change(out, prev_out) < tol:
+        if prev_out is not None and modifier_change(out, prev_out) < scenario.tol:
             converged = True
             break
         prev_out = out

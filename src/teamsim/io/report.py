@@ -24,7 +24,7 @@ round-trips (123456789012.345678 renders ``...345673`` against ``repr``'s
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -33,7 +33,7 @@ from ..des import DesStats, EventRecord
 from ..domain import Priority
 from ..errors import ConfigurationError
 from ..hybrid import HybridReport
-from ..sd import SdAux, SdState, SdTrajectory
+from ..sd import SdTrajectory
 
 FORMATS = ("json", "csv")
 
@@ -211,23 +211,14 @@ def emit_des_report(
     return written
 
 
-def _state_columns() -> list[str]:
-    return [f.name for f in fields(SdState)]
-
-
-def _aux_columns() -> list[str]:
-    return [f.name for f in fields(SdAux)]
-
-
 def emit_sd_report(traj: SdTrajectory, out_dir: Path, fmt: str = "json") -> list[Path]:
     """Write the wide trajectory table plus a small summary."""
     _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = _state_columns() + _aux_columns()
-    rows = zip(traj.times, *(traj.columns[c] for c in names))
+    rows = zip(traj.times, *traj.columns.values())
     p_traj = out_dir / "trajectory.csv"
-    write_csv(p_traj, ["time"] + names, rows)
+    write_csv(p_traj, ["time", *traj.columns], rows)
     summary = {
         "steps": len(traj) - 1,
         "dt": traj.dt,

@@ -11,13 +11,15 @@ Any scalar can be overridden from the environment: variables named
     TEAMSIM_DES__BASE_ERROR_PROB=0.1
     TEAMSIM_GENERATORS__0__DAILY_RATE=2.5
 
-Values are parsed as YAML, so numbers, booleans, and lists all work.
+Values are parsed as YAML.  Each value, from the file or the environment,
+is then read by its field's declared type (see ``records``), so a value of
+the wrong kind is a ``ConfigurationError`` naming its key path.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -26,7 +28,8 @@ import yaml
 from ..des import DesConfig, GeneratorConfig
 from ..domain import Affinity, Engineer, SkillSpec, WorkType
 from ..errors import ConfigurationError
-from ..sd import SdParams, SdState
+from ..sd import SdParams, SdState, sd_step_count
+from .records import read_record, read_value, write_record
 
 ENV_PREFIX = "TEAMSIM_"
 
@@ -48,189 +51,53 @@ class Scenario:
         self.des.validate()
         self.sd_params.validate()
         self.sd_initial.validate()
-        if self.horizon <= 0.0 or not math.isfinite(self.horizon):
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
+        # a positive, finite horizon and dt, and a bounded flow-model step count
+        sd_step_count(self.horizon, self.dt)
+        if self.dt > self.horizon:
+            raise ConfigurationError(f"dt must lie in (0, horizon], got {self.dt}")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
-        if self.dt <= 0.0 or self.dt > self.horizon:
-            raise ConfigurationError(f"dt must lie in (0, horizon], got {self.dt}")
         if self.cycles_max < 1:
             raise ConfigurationError("cycles_max must be >= 1")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
 
 
-def _reject_unknown(doc: Mapping, allowed: set[str], ctx: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigurationError(f"{ctx}: unknown keys: {', '.join(sorted(map(str, unknown)))}")
-
-
-def _engineer_from_dict(doc: Mapping, i: int) -> Engineer:
-    ctx = f"engineers[{i}]"
-    _reject_unknown(doc, {"id", "skill_type", "skill_level", "affinity", "capacity_factor"}, ctx)
-    try:
-        return Engineer(
-            id=int(doc["id"]),
-            skill=SkillSpec(str(doc["skill_type"]), int(doc["skill_level"])),
-            affinity=Affinity.from_label(str(doc["affinity"])),
-            capacity_factor=float(doc.get("capacity_factor", 1.0)),
-        )
-    except KeyError as e:
-        raise ConfigurationError(f"{ctx}: missing key {e.args[0]!r}") from None
-
-
-def _engineer_to_dict(eng: Engineer) -> dict:
-    return {
-        "id": eng.id,
-        "skill_type": eng.skill.skill_type,
-        "skill_level": eng.skill.skill_level,
-        "affinity": eng.affinity.value,
-        "capacity_factor": eng.capacity_factor,
-    }
-
-
-def _generator_from_dict(doc: Mapping, i: int) -> GeneratorConfig:
-    ctx = f"generators[{i}]"
-    _reject_unknown(
-        doc, {"work_type", "daily_rate", "priority_mix", "service_mean_hours", "skill_mix"}, ctx
-    )
-    try:
-        skill_mix = []
-        for j, sm in enumerate(doc["skill_mix"]):
-            _reject_unknown(sm, {"skill_type", "skill_level", "p"}, f"{ctx}.skill_mix[{j}]")
-            skill_mix.append(
-                (SkillSpec(str(sm["skill_type"]), int(sm["skill_level"])), float(sm["p"]))
-            )
-        return GeneratorConfig(
-            work_type=WorkType.from_label(str(doc["work_type"])),
-            daily_rate=float(doc["daily_rate"]),
-            priority_mix=tuple(float(p) for p in doc["priority_mix"]),
-            service_mean_hours=tuple(float(m) for m in doc["service_mean_hours"]),
-            skill_mix=tuple(skill_mix),
-        )
-    except KeyError as e:
-        raise ConfigurationError(f"{ctx}: missing key {e.args[0]!r}") from None
-
-
-def _generator_to_dict(gen: GeneratorConfig) -> dict:
-    return {
-        "work_type": gen.work_type.value,
-        "daily_rate": gen.daily_rate,
-        "priority_mix": list(gen.priority_mix),
-        "service_mean_hours": list(gen.service_mean_hours),
-        "skill_mix": [
-            {"skill_type": s.skill_type, "skill_level": s.skill_level, "p": p}
-            for s, p in gen.skill_mix
-        ],
-    }
-
-
-_DES_KNOBS = (
-    "base_error_prob",
-    "skill_gap_error_boost",
-    "p_stop_skill",
-    "switch_penalty_hours",
-    "rework_service_mean_hours",
-    "interrupt_base_rate",
-    "hours_per_day",
-)
-
-_TOP_KEYS = {
-    "name",
-    "seed",
-    "horizon",
-    "replications",
-    "dt",
-    "cycles_max",
-    "tol",
-    "engineers",
-    "generators",
-    "des",
-    "sd",
-    "sd_initial",
-}
-
-
 def scenario_from_dict(doc: Mapping, name: str = "scenario") -> Scenario:
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document must be a mapping")
-    _reject_unknown(doc, _TOP_KEYS, "scenario")
-
-    raw_eng = doc.get("engineers")
-    if not isinstance(raw_eng, list) or not raw_eng:
-        raise ConfigurationError("scenario needs a non-empty 'engineers' list")
-    engineers = [_engineer_from_dict(e, i) for i, e in enumerate(raw_eng)]
-
-    raw_gen = doc.get("generators", [])
-    if not isinstance(raw_gen, list):
-        raise ConfigurationError("'generators' must be a list")
-    generators = [_generator_from_dict(g, i) for i, g in enumerate(raw_gen)]
-
-    des_doc = dict(doc.get("des", {}))
-    _reject_unknown(des_doc, set(_DES_KNOBS) | {"rework_priority_mix", "skill_types"}, "des")
-    des_kwargs = {k: float(des_doc[k]) for k in _DES_KNOBS if k in des_doc}
-    if "rework_priority_mix" in des_doc:
-        des_kwargs["rework_priority_mix"] = tuple(float(p) for p in des_doc["rework_priority_mix"])
-    if "skill_types" in des_doc:
-        des_kwargs["skill_types"] = tuple(str(s) for s in des_doc["skill_types"])
-    des = DesConfig(generators=generators, engineers=engineers, **des_kwargs)
-
-    sd_doc = dict(doc.get("sd", {}))
-    sd_fields = {f.name for f in fields(SdParams)}
-    _reject_unknown(sd_doc, sd_fields, "sd")
-    # arrivals default to the summed generator rates of each side
-    if sd_doc.get("project_arrivals") is None:
-        sd_doc["project_arrivals"] = sum(
-            g.daily_rate for g in generators if g.work_type is WorkType.PROJECT_TASK
-        )
-    if sd_doc.get("ops_arrivals") is None:
-        sd_doc["ops_arrivals"] = sum(
-            g.daily_rate for g in generators if g.work_type is not WorkType.PROJECT_TASK
-        )
-    sd_params = SdParams(**{k: float(v) for k, v in sd_doc.items()})
-
-    init_doc = dict(doc.get("sd_initial", {}))
-    _reject_unknown(init_doc, {f.name for f in fields(SdState)}, "sd_initial")
-    sd_initial = SdState(**{k: float(v) for k, v in init_doc.items()})
-
-    scenario = Scenario(
-        des=des,
-        sd_params=sd_params,
-        sd_initial=sd_initial,
-        horizon=float(doc.get("horizon", 126.0)),
-        replications=int(doc.get("replications", 1)),
-        seed=int(doc.get("seed", 20)),
-        dt=float(doc.get("dt", 0.25)),
-        cycles_max=int(doc.get("cycles_max", 5)),
-        tol=float(doc.get("tol", 1e-3)),
-        name=str(doc.get("name", name)),
+    doc = dict(doc)
+    engineers = read_value(doc.pop("engineers", []), list[Engineer], "engineers")
+    generators = read_value(doc.pop("generators", []), list[GeneratorConfig], "generators")
+    des = read_record(
+        DesConfig, doc.pop("des", {}), "des", engineers=engineers, generators=generators
     )
+    sd_doc = doc.pop("sd", {})
+    if isinstance(sd_doc, Mapping):
+        # arrivals default to the summed generator rates of each side
+        sd_doc = dict(sd_doc)
+        for key, operational in (("project_arrivals", False), ("ops_arrivals", True)):
+            if sd_doc.get(key) is None:
+                sd_doc[key] = sum(
+                    g.daily_rate for g in generators if g.work_type.is_operational == operational
+                )
+    sd_params = read_record(SdParams, sd_doc, "sd")
+    sd_initial = read_record(SdState, doc.pop("sd_initial", {}), "sd_initial")
+    doc.setdefault("name", name)
+    scenario = read_record(Scenario, doc, des=des, sd_params=sd_params, sd_initial=sd_initial)
     scenario.validate()
     return scenario
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    sd = {f.name: getattr(s.sd_params, f.name) for f in fields(SdParams)}
-    init = {k: v for k, v in s.sd_initial.as_dict().items() if v != 0.0}
-    des: dict = {k: getattr(s.des, k) for k in _DES_KNOBS}
-    des["rework_priority_mix"] = list(s.des.rework_priority_mix)
-    if s.des.skill_types is not None:
-        des["skill_types"] = list(s.des.skill_types)
-    return {
-        "name": s.name,
-        "seed": s.seed,
-        "horizon": s.horizon,
-        "replications": s.replications,
-        "dt": s.dt,
-        "cycles_max": s.cycles_max,
-        "tol": s.tol,
-        "engineers": [_engineer_to_dict(e) for e in s.des.engineers],
-        "generators": [_generator_to_dict(g) for g in s.des.generators],
-        "des": des,
-        "sd": sd,
-        "sd_initial": init,
-    }
+    des = write_record(s.des)
+    doc = write_record(s, "des", "sd_params", "sd_initial")
+    doc["engineers"] = des.pop("engineers")
+    doc["generators"] = des.pop("generators")
+    doc["des"] = des
+    doc["sd"] = write_record(s.sd_params)
+    doc["sd_initial"] = write_record(s.sd_initial)
+    return doc
 
 
 def apply_env_overrides(doc: dict, env: Mapping[str, str] | None = None) -> dict:

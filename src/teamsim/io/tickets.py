@@ -25,6 +25,7 @@ from ..des import (
 )
 from ..domain import Priority, WorkType
 from ..errors import ConfigurationError, DataError
+from .records import read_record
 
 log = logging.getLogger(__name__)
 
@@ -314,37 +315,6 @@ def synth_spec_from_dict(doc: dict) -> SynthSpec:
     """Build a synthetic-data spec from a parsed YAML/JSON document."""
     if not isinstance(doc, dict):
         raise ConfigurationError("synthetic spec must be a mapping")
-    allowed = {"classes", "span_days", "start", "assignment_group"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown synthetic spec keys: {', '.join(sorted(unknown))}")
-    raw_classes = doc.get("classes")
-    if not isinstance(raw_classes, list) or not raw_classes:
-        raise ConfigurationError("synthetic spec needs a non-empty 'classes' list")
-    classes = []
-    for i, rc in enumerate(raw_classes):
-        cls_allowed = {"work_type", "daily_rate", "priority_mix", "service_mean_hours"}
-        unknown = set(rc) - cls_allowed
-        if unknown:
-            raise ConfigurationError(
-                f"classes[{i}]: unknown keys: {', '.join(sorted(unknown))}"
-            )
-        try:
-            classes.append(
-                SynthClass(
-                    work_type=str(rc["work_type"]),
-                    daily_rate=float(rc["daily_rate"]),
-                    priority_mix=tuple(float(p) for p in rc["priority_mix"]),
-                    service_mean_hours=tuple(float(m) for m in rc["service_mean_hours"]),
-                )
-            )
-        except KeyError as e:
-            raise ConfigurationError(f"classes[{i}]: missing key {e.args[0]!r}") from None
-    spec = SynthSpec(
-        classes=classes,
-        span_days=float(doc.get("span_days", 126.0)),
-        start=str(doc.get("start", "2025-01-05T00:00:00")),
-        assignment_group=str(doc.get("assignment_group", "team-core")),
-    )
+    spec = read_record(SynthSpec, doc)
     spec.validate()
     return spec

@@ -23,6 +23,7 @@ from operator import attrgetter
 from .errors import ConfigurationError, EngineError
 
 _EPS = 1e-9
+MAX_SD_STEPS = 10**6
 _PROD_FLOOR = 0.1
 _ERROR_CAP = 0.95
 
@@ -295,14 +296,17 @@ class SdTrajectory:
         return SdState(*(self.columns[n][-1] for n in _STATE_FIELDS))
 
     def column(self, name: str) -> list[float]:
-        try:
-            return list(self.columns[name])
-        except KeyError:
-            raise ConfigurationError(f"unknown trajectory column {name!r}") from None
+        return list(self._column(name))
 
     def mean(self, name: str) -> float:
-        col = self.column(name)
+        col = self._column(name)
         return math.fsum(col) / len(col)
+
+    def _column(self, name: str) -> list[float]:
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise ConfigurationError(f"unknown trajectory column {name!r}") from None
 
 
 def _check_finite(state: tuple[float, ...], aux: tuple[float, ...], t: float) -> None:
@@ -319,6 +323,27 @@ def _check_finite(state: tuple[float, ...], aux: tuple[float, ...], t: float) ->
             raise EngineError(f"non-finite value in auxiliary {name!r} at t={t:.6f}")
 
 
+def sd_step_count(horizon: float, dt: float) -> int:
+    """The number of steps of size dt that cover the horizon.
+
+    Rejects a non-positive or non-finite horizon or dt, and more than
+    ``MAX_SD_STEPS`` steps: a run keeps every step, some 840 bytes each.
+    """
+    if dt <= 0.0 or not math.isfinite(dt):
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    if horizon <= 0.0 or not math.isfinite(horizon):
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+    steps = horizon / dt - 1e-12
+    # ceil(steps) <= MAX_SD_STEPS exactly when steps <= MAX_SD_STEPS, which
+    # is false for an overflow to inf
+    if not steps <= MAX_SD_STEPS:
+        raise ConfigurationError(
+            f"horizon {horizon:g} at dt {dt:g} needs {steps:.3g} flow-model steps, "
+            f"more than the {MAX_SD_STEPS} allowed"
+        )
+    return math.ceil(steps)
+
+
 def run_sd(
     initial: SdState, params: SdParams, horizon: float = 126.0, dt: float = 0.25
 ) -> SdTrajectory:
@@ -333,11 +358,7 @@ def run_sd(
     """
     params.validate()
     initial.validate()
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    if horizon <= 0.0 or not math.isfinite(horizon):
-        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-    n_steps = math.ceil(horizon / dt - 1e-12)
+    n_steps = sd_step_count(horizon, dt)
     state = _state_values(initial)
     a = _aux_values(state, params)
     _check_finite(state, a, 0.0)

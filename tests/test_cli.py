@@ -1,15 +1,19 @@
 """End-to-end command line tests, most through a real subprocess."""
+import copy
 import json
 import math
+import operator
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import teamsim.sd
 from teamsim import cli
-from teamsim.io.scenario import default_scenario, save_scenario
+from teamsim.io.scenario import default_scenario, load_scenario, save_scenario, scenario_to_dict
 
 from test_golden import GOLDEN, _files_sha
 
@@ -24,6 +28,18 @@ SYNTH_SPEC = {
     ],
     "span_days": 200.0,
 }
+
+
+def scenario_with(tmp_path, path, value):
+    """The default scenario saved with the value at key path ``path`` replaced."""
+    p = tmp_path / "sc.yaml"
+    doc = scenario_to_dict(default_scenario())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p.write_text(yaml.safe_dump(doc))
+    return p
 
 
 def parse_kv(stdout: str) -> dict:
@@ -87,6 +103,14 @@ class TestValidate:
         res = run_cli("validate", str(tmp_path / "absent.yaml"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("command", ["fit", "validate", "synth"])
+    def test_undecodable_input_exits_two(self, tmp_path, capsys, command):
+        p = tmp_path / "input"
+        p.write_bytes(b"\xff\xfe not text\n")
+        extra = [str(tmp_path / "out.csv")] if command == "synth" else []
+        assert cli.main([command, str(p), *extra]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_unknown_subcommand_exits_one(self):
         assert run_cli("frobnicate").returncode == 1
 
@@ -119,18 +143,121 @@ class TestNonFiniteKnobs:
         ],
     )
     def test_rejected_with_a_message(self, tmp_path, capsys, path, value, message):
-        p = tmp_path / "sc.yaml"
-        save_scenario(default_scenario(), p)
-        doc = yaml.safe_load(p.read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        p.write_text(yaml.safe_dump(doc))
+        p = scenario_with(tmp_path, path, value)
         # a traceback would propagate out of main() and fail the test
         assert cli.main(["des", str(p), "--horizon", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def _scalar_paths(node, path=()):
+    """The key path of every scalar in a scenario document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _scalar_paths(child, (*path, key))]
+
+
+_SCALAR_PATHS = _scalar_paths(scenario_to_dict(default_scenario()))
+
+
+class TestMalformedValues:
+    """Every value is read by its field's declared type: a value of the wrong
+    kind exits 1 naming its key path, where it once ended in a traceback or
+    was silently coerced, and a numeric string is still a number."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            # each of these once ended in a traceback
+            (("seed",), "abc", "seed: expected int, got 'abc'"),
+            (("horizon",), None, "horizon: expected float, got None"),
+            (("des", "base_error_prob"), "abc", "des.base_error_prob: expected float, got 'abc'"),
+            (("sd_initial", "fatigue"), "x", "sd_initial.fatigue: expected float, got 'x'"),
+            (("engineers", 0, "skill_level"), [1], "engineers[0].skill_level: expected int"),
+            (("engineers", 0), 5, "engineers[0]: expected a mapping, got 5"),
+            (("des",), [1, 2], "des: expected a mapping, got [1, 2]"),
+            (("sd",), 5, "sd: expected a mapping, got 5"),
+            (("generators", 0, "skill_mix"), 5, "generators[0].skill_mix: expected a list"),
+            (("generators", 0, "priority_mix"), "abc", "generators[0].priority_mix: expected a list"),
+            # each of these was once silently coerced
+            (("replications",), 1.5, "replications: expected int, got 1.5"),
+            (("seed",), True, "seed: expected int, got True"),
+            (("name",), [1], "name: expected str, got [1]"),
+            (("engineers", 0, "id"), 2.7, "engineers[0].id: expected int, got 2.7"),
+        ],
+    )
+    def test_rejected_naming_the_key(self, tmp_path, capsys, path, value, message):
+        assert cli.main(["validate", str(scenario_with(tmp_path, path, value))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "path, value, attr, expected",
+        [
+            # PyYAML reads 1e17 (no dot) as a string
+            (("des", "interrupt_base_rate"), "1e17", "des.interrupt_base_rate", 1e17),
+            (("seed",), 7.0, "seed", 7),
+            # never through float, which would round it
+            (("seed",), 2**63 + 1, "seed", 2**63 + 1),
+            (("seed",), "12", "seed", 12),
+        ],
+    )
+    def test_accepted(self, tmp_path, path, value, attr, expected):
+        sc = load_scenario(scenario_with(tmp_path, path, value))
+        got = operator.attrgetter(attr)(sc)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("daily_rate", "abc", "classes[0].daily_rate: expected float, got 'abc'"),
+            ("classes", [5], "classes[0]: expected a mapping, got 5"),
+            ("span_days", "x", "span_days: expected float, got 'x'"),
+            ("priority_mix", 7, "classes[0].priority_mix: expected a list, got 7"),
+        ],
+    )
+    def test_synth_spec_rejected_naming_the_key(self, tmp_path, capsys, key, value, message):
+        doc = copy.deepcopy(SYNTH_SPEC)
+        (doc["classes"][0] if key in doc["classes"][0] else doc)[key] = value
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        assert cli.main(["synth", str(spec), str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_synth_spec_takes_an_unquoted_start(self, tmp_path, capsys):
+        # PyYAML reads an unquoted timestamp as a datetime
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump(SYNTH_SPEC) + "start: 2025-03-01T06:00:00\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["synth", str(spec), str(out), "--span", "5"]) == 0
+        first = out.read_text().splitlines()[1]
+        assert first.startswith("2025-03-0")
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        path=st.sampled_from(_SCALAR_PATHS),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.floats(),
+            st.text(max_size=8),
+            st.lists(st.integers(), max_size=3),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        ),
+    )
+    def test_any_value_at_any_path_exits_cleanly(self, tmp_path, capsys, path, value):
+        # an exception escaping main() fails the test
+        rc = cli.main(["validate", str(scenario_with(tmp_path, path, value))])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
 
 
 class TestDesCommand:
@@ -181,6 +308,20 @@ class TestSdCommand:
         res = run_cli("sd", "default", "--horizon", "20", "--out", str(tmp_path))
         assert res.returncode == 0
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_step_bound_exits_one_before_any_step(self, monkeypatch, capsys):
+        # a run keeps every step, so 1e300 steps would grow until memory ran out
+        def no_step(*args):
+            raise AssertionError("a flow-model step ran")
+
+        monkeypatch.setattr(teamsim.sd, "_step_values", no_step)
+        assert cli.main(["sd", "default", "--dt", "1e-300", "--horizon", "1"]) == 1
+        # validation rejects what a hybrid run would
+        monkeypatch.setenv("TEAMSIM_DT", "1e-300")
+        assert cli.main(["validate", "default"]) == 1
+        assert cli.main(["hybrid", "default", "--cycles", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("flow-model steps, more than the 1000000 allowed") == 3
 
 
 def test_importing_the_entry_module_runs_nothing():

@@ -1,6 +1,7 @@
 """Ticket ingestion, synthetic data, report emission, and scenario I/O."""
 import copy
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -13,7 +14,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import teamsim.des
 import teamsim.hybrid
-from teamsim.des import run_des, run_des_replicated
+import teamsim.io.scenario
+from teamsim.des import GeneratorConfig, run_des, run_des_replicated
+from teamsim.domain import Affinity, Engineer, SkillSpec, WorkType
 from teamsim.errors import ConfigurationError, DataError
 from teamsim.io.report import (
     des_log_sink,
@@ -27,6 +30,7 @@ from teamsim.io.report import (
     write_event_log_ndjson,
 )
 from teamsim.io.scenario import (
+    Scenario,
     apply_env_overrides,
     default_scenario,
     load_scenario,
@@ -41,7 +45,7 @@ from teamsim.io.tickets import (
     synth_spec_from_dict,
 )
 from teamsim.hybrid import run_hybrid
-from teamsim.sd import SdState, run_sd
+from teamsim.sd import SdParams, SdState, run_sd
 
 from conftest import single_class_config
 from convert_des_report import convert
@@ -573,14 +577,63 @@ class TestScenarioIO:
         p = tmp_path / "sc.yaml"
         sc = default_scenario()
         save_scenario(sc, p)
+        assert load_scenario(p) == sc
+
+    def test_every_field_round_trips(self, tmp_path):
+        base = default_scenario()
+        des = dataclasses.replace(
+            base.des,
+            engineers=[
+                Engineer(7, SkillSpec("data", 1), Affinity.PROJECT_PRIMARY, capacity_factor=0.75),
+                Engineer(9, SkillSpec("core", 2), Affinity.OPERATIONAL_PRIMARY, 0.5),
+            ],
+            generators=[
+                GeneratorConfig(
+                    WorkType.INCIDENT, 0.75, (0.2, 0.3, 0.5), (1.0, 2.0, 3.0),
+                    ((SkillSpec("data", 1), 0.25), (SkillSpec("core", 2), 0.75)),
+                )
+            ],
+            base_error_prob=0.1,
+            skill_gap_error_boost=1.5,
+            p_stop_skill=0.2,
+            switch_penalty_hours=0.25,
+            rework_priority_mix=(0.5, 0.25, 0.25),
+            rework_service_mean_hours=3.0,
+            interrupt_base_rate=0.125,
+            hours_per_day=7.5,
+            skill_types=None,
+        )
+        sd_params = SdParams(
+            **{f.name: getattr(base.sd_params, f.name) * 1.5 + 0.125 for f in fields(SdParams)}
+        )
+        sd_initial = SdState(*(i + 1.0 for i in range(len(fields(SdState)))))
+        sc = Scenario(des, sd_params, sd_initial, 30.0, 3, 2**40 + 1, 0.5, 2, 0.01, "changed")
+        for new, old in ((sc, base), (des, base.des), (sd_params, base.sd_params),
+                         (sd_initial, base.sd_initial)):
+            assert all(getattr(new, f.name) != getattr(old, f.name) for f in fields(new))
+        p = tmp_path / "sc.yaml"
+        save_scenario(sc, p)
+        assert load_scenario(p) == sc
+
+    @pytest.mark.parametrize("record, section, attr", [
+        ("DesConfig", "des", "des"), ("SdParams", "sd", "sd_params"),
+    ])
+    def test_a_new_float_field_round_trips(self, tmp_path, monkeypatch, record, section, attr):
+        # reading and writing follow the declared fields, so a field added to
+        # the record reaches the file and comes back with no edit to the io code
+        cls = getattr(teamsim.io.scenario, record)
+        extended = dataclasses.make_dataclass(
+            f"Extended{record}", [("new_knob", float, dataclasses.field(default=0.5))],
+            bases=(cls,), frozen=cls.__dataclass_params__.frozen,
+        )
+        monkeypatch.setattr(teamsim.io.scenario, record, extended)
+        sc = default_scenario()
+        sc = dataclasses.replace(sc, **{attr: dataclasses.replace(getattr(sc, attr), new_knob=0.75)})
+        p = tmp_path / "sc.yaml"
+        save_scenario(sc, p)
+        assert yaml.safe_load(p.read_text())[section]["new_knob"] == 0.75
         back = load_scenario(p)
-        assert back.name == sc.name
-        assert back.seed == sc.seed
-        assert back.sd_params == sc.sd_params
-        assert back.sd_initial == sc.sd_initial
-        assert len(back.des.generators) == len(sc.des.generators)
-        assert back.des.generators[0].priority_mix == sc.des.generators[0].priority_mix
-        assert [e.skill for e in back.des.engineers] == [e.skill for e in sc.des.engineers]
+        assert back == sc and getattr(back, attr).new_knob == 0.75
 
     def test_env_overrides_scalar_and_nested(self, tmp_path):
         p = tmp_path / "sc.yaml"

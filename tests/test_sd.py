@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+import teamsim.sd
 from teamsim.errors import ConfigurationError, EngineError
 from teamsim.sd import (
     _EPS,
+    MAX_SD_STEPS,
     _ERROR_CAP,
     _PROD_FLOOR,
     SdAux,
@@ -28,6 +30,7 @@ from teamsim.sd import (
     mass_residuals,
     run_sd,
     sd_step,
+    sd_step_count,
 )
 
 
@@ -118,6 +121,17 @@ class TestValidation:
         for dt in (0.0, -0.5, float("inf")):
             with pytest.raises(ConfigurationError):
                 sd_step(BUSY_INIT, busy_params(), dt)
+
+    def test_step_count_is_bounded_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a flow-model step ran")
+
+        monkeypatch.setattr(teamsim.sd, "_step_values", no_step)
+        assert sd_step_count(250_000.0, 0.25) == MAX_SD_STEPS
+        # the last overflows horizon / dt to inf
+        for horizon, dt in ((250_000.25, 0.25), (1.0, 1e-300), (1e308, 1e-10)):
+            with pytest.raises(ConfigurationError, match="flow-model steps"):
+                run_sd(BUSY_INIT, busy_params(), horizon, dt)
 
 
 class TestAuxiliaries:
@@ -304,6 +318,8 @@ class TestTrajectories:
         traj = run_sd(BUSY_INIT, busy_params(), 2.0, 0.25)
         with pytest.raises(ConfigurationError):
             traj.column("throughput")
+        with pytest.raises(ConfigurationError):
+            traj.mean("throughput")
 
 
 class TestMassBalance:
