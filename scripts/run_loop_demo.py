@@ -52,7 +52,7 @@ def main() -> int:
     print(f"  P2 days    {p2_days[0]:.2f} -> {p2_days[1]:.2f}")
     print(f"  P3 done    {p3_done[0]} -> {p3_done[1]}")
 
-    written = emit_hybrid_report(report, sink.out_dir, fmt="json", log_sink=sink)
+    written = emit_hybrid_report(report, sink.out_dir, log_sink=sink)
     print(f"\nwrote {len(written)} files under {args.out}/")
     return 0
 

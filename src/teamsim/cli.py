@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .des import run_des_replicated
 from .errors import (
     ConfigurationError,
@@ -31,6 +29,7 @@ from .io.report import (
     emit_sd_report,
     hybrid_log_sink,
 )
+from .io.records import read_yaml
 from .io.scenario import (
     Scenario,
     apply_env_overrides,
@@ -84,12 +83,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            raise ConfigurationError(f"{args.spec}: invalid YAML: {e}") from None
-    spec = synth_spec_from_dict(doc)
+    spec = synth_spec_from_dict(read_yaml(args.spec))
     if args.span is not None:
         spec.span_days = args.span
         spec.validate()
@@ -149,7 +143,7 @@ def _cmd_hybrid(args) -> int:
         log_sink=sink,
     )
     if sink is not None:
-        for p in emit_hybrid_report(report, sink.out_dir, args.format, log_sink=sink):
+        for p in emit_hybrid_report(report, sink.out_dir, log_sink=sink):
             print(p)
         return 0
     for rec in report.cycles:
@@ -217,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=None, help="max coupling cycles")
     p.add_argument("--tol", type=float, default=None, help="modifier convergence tolerance")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="directory for reports (default: print cycle table)")
     p.set_defaults(func=_cmd_hybrid)
 

@@ -47,10 +47,11 @@ EventRecord = tuple[float, str, int, int, str]
 _EV_ARRIVAL = 0
 _EV_SERVICE_END = 1  # ends a service segment, whatever its outcome
 
-# service segment outcomes decided at start-of-service
-_SEG_COMPLETE = 0
-_SEG_SKILL_STOP = 1
-_SEG_INTERRUPT = 2
+# why a service segment ends before its work is done, as the DesStats
+# counter the stop adds to and the detail of its "stop" log record
+_STOP_SKILL = ("stop_skill", "skill")
+_STOP_INTERRUPT = ("stop_interrupt", "interrupt")
+_STOP_PREEMPT = ("preemption_count", "preempt")
 
 _MIX_TOL = 1e-9
 
@@ -59,6 +60,23 @@ _MIX_TOL = 1e-9
 # day the gap rounds away, t + gap == t, and the clock stops.  A minute is
 # far above a day's float resolution at any horizon a run can hold in memory.
 MAX_INTERRUPT_RATE = 24.0 * 60.0
+
+# The most whole days a run may cover: each class that completes work keeps
+# two day-by-day series, 16 bytes a day (16 MB per class at the bound).
+MAX_DES_DAYS = 10**6
+
+
+def des_day_count(horizon: float) -> int:
+    """The whole days of ``horizon``; rejects a bad horizon or more than ``MAX_DES_DAYS``."""
+    if horizon <= 0.0 or not math.isfinite(horizon):
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+    n_days = int(horizon)
+    if n_days > MAX_DES_DAYS:
+        raise ConfigurationError(
+            f"horizon {horizon!r} covers {n_days} days of event-model series, "
+            f"more than the {MAX_DES_DAYS} allowed"
+        )
+    return n_days
 
 
 def sample_interarrival(rate: float, rng) -> float:
@@ -351,7 +369,9 @@ class DesStats:
     per-class samples concatenate; daily series add day by day.  Totals
     that follow from the accumulators (``arrived_total``,
     ``completed_total``, ``stop_count``, ``reassignment_count`` and
-    ``daily_individual_queue``) are read-only properties, not stored.
+    ``daily_individual_queue``) are read-only properties, not stored.  The
+    summary's per-day rates, declared in ``PER_DAY``, divide one of these
+    by ``total_days``, the days of all replications together.
 
     Merging pools raw samples and sums counters, so every derived statistic
     of ``merge_stats(a, b)`` equals that of ``merge_stats(b, a)`` exactly
@@ -385,11 +405,19 @@ class DesStats:
         "stop_count": "stops_total",
         "reassignment_count": "reassignments",
     }
+    # per-day rates: value / total_days, reported under its key
+    PER_DAY = {
+        "completed_total": "completions_per_day",
+        "rework_count": "rework_incidents_per_day",
+        "preemption_count": "preemptions_per_day",
+        "in_system_integral": "time_avg_in_system",
+        "busy_integral": "time_avg_busy_engineers",
+    }
 
     def __init__(self, horizon: float) -> None:
         self.horizon = horizon
         self.replications = 1
-        self.n_days = int(math.floor(horizon))
+        self.n_days = des_day_count(horizon)
         for name in self.COUNTERS:
             setattr(self, name, 0)
         for name in self.INTEGRALS:
@@ -520,37 +548,15 @@ class DesStats:
     def total_days(self) -> float:
         return self.horizon * self.replications
 
-    @property
-    def time_avg_in_system(self) -> float:
-        return self.in_system_integral / self.total_days
-
-    @property
-    def time_avg_busy(self) -> float:
-        return self.busy_integral / self.total_days
-
-    @property
-    def completions_per_day(self) -> float:
-        return self.completed_total / self.total_days
-
-    @property
-    def rework_per_day(self) -> float:
-        return self.rework_count / self.total_days
-
-    @property
-    def preemptions_per_day(self) -> float:
-        return self.preemption_count / self.total_days
-
     def to_flat_dict(self) -> dict:
         """JSON-compatible flat summary with stable, sorted keys."""
         out: dict = {"horizon_days": self.horizon, "replications": self.replications}
         for counters in (self.DERIVED_COUNTERS, self.COUNTERS):
             for name, report_key in counters.items():
                 out[report_key] = getattr(self, name)
-        out["completions_per_day"] = self.completions_per_day
-        out["rework_incidents_per_day"] = self.rework_per_day
-        out["preemptions_per_day"] = self.preemptions_per_day
-        out["time_avg_in_system"] = self.time_avg_in_system
-        out["time_avg_busy_engineers"] = self.time_avg_busy
+        total_days = self.total_days
+        for name, report_key in self.PER_DAY.items():
+            out[report_key] = getattr(self, name) / total_days
         for key in self.class_keys():
             wt, pr = key
             stem = f"class.{wt.value}.{pr.name.lower()}"
@@ -608,7 +614,7 @@ class _Server:
         "item",
         "seg_start",
         "rate",
-        "seg_kind",
+        "seg_stop",
         "gap_boost",
         "epoch",
     )
@@ -624,8 +630,10 @@ class _Server:
         self.item: WorkItem | None = None
         self.seg_start = 0.0
         self.rate = rate  # work-hours delivered per elapsed day
-        self.seg_kind = _SEG_COMPLETE
+        self.seg_stop: tuple[str, str] | None = None  # None: the segment completes
         self.gap_boost = False
+        # bumped at each segment start only: a preempted segment's end event
+        # then finds either a newer epoch or no item, and is ignored
         self.epoch = 0
 
 
@@ -645,14 +653,13 @@ class DesEngine:
 
         config.validate()
         modifiers.validate()
-        if horizon <= 0.0 or not math.isfinite(horizon):
-            raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+        # checks the horizon with des_day_count before any series is allocated
+        self.stats = DesStats(horizon)
         self.cfg = config
         self.modifiers = modifiers
         self.horizon = horizon
         self.rng = _random.Random(seed)
         self.calendar = EventCalendar()
-        self.stats = DesStats(horizon)
         self.log: list[EventRecord] | None = [] if collect_log else None
         self.servers = [
             _Server(i, eng, config.hours_per_day * eng.capacity_factor * modifiers.capacity_factor)
@@ -713,38 +720,37 @@ class DesEngine:
     def _on_service_end(self, t: float, server_index: int, epoch: int) -> None:
         srv = self.servers[server_index]
         if epoch != srv.epoch or srv.item is None:
-            return  # superseded by a preemption or an earlier stop
+            return  # a preemption ended this segment early
+        if srv.seg_stop is not None:
+            self._stop(srv, t, srv.seg_stop)
+            return
         item = srv.item
         srv.item = None
-        srv.epoch += 1
         self.n_busy -= 1
-        seg = srv.seg_kind
-        cfg = self.cfg
-        if seg == _SEG_COMPLETE:
-            item.remaining_service_hours = 0.0
-            days = t - item.arrival_time
-            self.stats.note_completion(
-                (item.work_type, item.priority), days, item.total_queue_days, t
-            )
-            self.n_in_system -= 1
-            if self.log is not None:
-                self.log.append((t, "complete", item.id, srv.engineer.id, f"{days:.6f}"))
-            self._maybe_rework(item, t, srv)
-            return
+        days = t - item.arrival_time
+        self.stats.note_completion((item.work_type, item.priority), days, item.total_queue_days, t)
+        self.n_in_system -= 1
+        if self.log is not None:
+            self.log.append((t, "complete", item.id, srv.engineer.id, f"{days:.6f}"))
+        self._maybe_rework(item, t, srv)
+
+    def _stop(self, srv: _Server, t: float, reason: tuple[str, str]) -> None:
+        """End ``srv``'s segment before its work is done, for ``reason`` (a ``_STOP_*``)."""
+        item = srv.item
+        srv.item = None
+        self.n_busy -= 1
         done = (t - srv.seg_start) * srv.rate
         item.remaining_service_hours = max(0.0, item.remaining_service_hours - done)
-        item.stop_count += 1
-        if seg == _SEG_SKILL_STOP:
+        counter, detail = reason
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if self.log is not None:
+            self.log.append((t, "stop", item.id, srv.engineer.id, detail))
+        if reason is _STOP_SKILL:
             # insufficient skill surfaced mid-service: route the item afresh
-            self.stats.stop_skill += 1
-            if self.log is not None:
-                self.log.append((t, "stop", item.id, srv.engineer.id, "skill"))
             self._route(item, t)
         else:
-            item.remaining_service_hours += cfg.switch_penalty_hours
-            self.stats.stop_interrupt += 1
-            if self.log is not None:
-                self.log.append((t, "stop", item.id, srv.engineer.id, "interrupt"))
+            # the engineer puts it back on their own queue and pays to switch
+            item.remaining_service_hours += self.cfg.switch_penalty_hours
             srv.queue.push(item, t)
 
     def _maybe_rework(self, item: WorkItem, t: float, srv: _Server) -> None:
@@ -769,21 +775,6 @@ class DesEngine:
         self.n_in_system -= 1
         if self.log is not None:
             self.log.append((t, "dead_letter", item.id, -1, item.required.skill_type))
-
-    def _preempt(self, srv: _Server, t: float) -> None:
-        cur = srv.item
-        srv.item = None
-        srv.epoch += 1
-        self.n_busy -= 1
-        done = (t - srv.seg_start) * srv.rate
-        cur.remaining_service_hours = (
-            max(0.0, cur.remaining_service_hours - done) + self.cfg.switch_penalty_hours
-        )
-        cur.stop_count += 1
-        self.stats.preemption_count += 1
-        if self.log is not None:
-            self.log.append((t, "stop", cur.id, srv.engineer.id, "preempt"))
-        srv.queue.push(cur, t)
 
     def _steal(self, srv: _Server, t: float) -> WorkItem | None:
         # pull the discipline-best compatible waiting item from a colleague
@@ -826,7 +817,7 @@ class DesEngine:
             self.log.append((t, "dispatch", item.id, best.engineer.id, "route"))
         best.queue.push(item, t)
         if best.item is not None and item.priority > best.item.priority:
-            self._preempt(best, t)
+            self._stop(best, t, _STOP_PREEMPT)
 
     def _dispatch(self, t: float) -> None:
         # work-conserving start pass: idle engineers pull their own queue, then
@@ -854,13 +845,13 @@ class DesEngine:
         eng = srv.engineer
         duration = item.remaining_service_hours / srv.rate
         end = t + duration
-        seg_kind = _SEG_COMPLETE
+        seg_stop = None
         gap_boost = False
         if item.required.skill_level > eng.skill.skill_level:
             # the mismatch either stops the work partway or degrades quality
             if self.cfg.p_stop_skill > 0.0 and self.rng.random() < self.cfg.p_stop_skill:
                 end = t + self.rng.random() * duration
-                seg_kind = _SEG_SKILL_STOP
+                seg_stop = _STOP_SKILL
             else:
                 gap_boost = True
         irate = self.modifiers.interrupt_rate
@@ -868,10 +859,10 @@ class DesEngine:
             t_int = t + sample_interarrival(irate, self.rng)
             if t_int < end:
                 end = t_int
-                seg_kind = _SEG_INTERRUPT
+                seg_stop = _STOP_INTERRUPT
         srv.item = item
         srv.seg_start = t
-        srv.seg_kind = seg_kind
+        srv.seg_stop = seg_stop
         srv.gap_boost = gap_boost
         srv.epoch += 1
         self.n_busy += 1

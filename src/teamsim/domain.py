@@ -114,7 +114,6 @@ class WorkItem:
     service_demand_hours: float
     arrival_time: float
     remaining_service_hours: float = field(default=-1.0)
-    stop_count: int = 0
     total_queue_days: float = 0.0
     _queue_entered: float | None = field(default=None, repr=False)
 
@@ -156,7 +155,6 @@ def trusted_item(
     item.service_demand_hours = service_demand_hours
     item.arrival_time = arrival_time
     item.remaining_service_hours = service_demand_hours
-    item.stop_count = 0
     item.total_queue_days = 0.0
     item._queue_entered = None
     return item

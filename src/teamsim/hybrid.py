@@ -164,8 +164,9 @@ def run_hybrid(
 ) -> HybridReport:
     """Run the coupled procedure for up to ``cycles_max`` cycles.
 
-    Stops early once the feedback modifiers change by less than ``tol``
-    (largest relative component change) between consecutive cycles.
+    Cycle k >= 1 runs with the modifiers cycle k - 1 fed back, and the run
+    stops early, ``converged``, once its own output differs from them by
+    less than ``tol`` (largest relative component change).
     Event logs are collected only for a ``log_sink``: cycle ``k``'s log is
     handed to ``log_sink(k, log)`` as soon as that cycle's event-model run
     ends and is not kept.  The next cycle's ``run_des`` validates the fed-back
@@ -183,7 +184,6 @@ def run_hybrid(
     modifiers = DesModifiers.identity()
     cycles: list[CycleRecord] = []
     converged = False
-    prev_out: DesModifiers | None = None
     for k in range(scenario.cycles_max):
         stats, log = run_des(
             scenario.des,
@@ -213,10 +213,9 @@ def run_hybrid(
                 des_stats=stats,
             )
         )
-        if prev_out is not None and modifier_change(out, prev_out) < scenario.tol:
+        if k > 0 and modifier_change(out, modifiers) < scenario.tol:
             converged = True
             break
-        prev_out = out
         modifiers = out
 
     return HybridReport(cycles=cycles, converged=converged)

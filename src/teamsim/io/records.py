@@ -10,7 +10,8 @@ flattened into its parent's mapping, as an engineer's skill is.  Numeric
 strings are numbers (PyYAML reads ``1e17`` as a string), an ``int`` takes
 an integral float but no bool, and a ``str`` takes any scalar.  Any other
 value raises ``ConfigurationError`` naming its key path, as in
-``des.base_error_prob: expected float, got 'abc'``.
+``des.base_error_prob: expected float, got 'abc'``.  ``read_yaml`` reads
+the mapping a file holds.
 """
 from __future__ import annotations
 
@@ -19,9 +20,30 @@ import types
 import typing
 from enum import Enum
 from functools import cache
+from pathlib import Path
 from typing import Any, Mapping
 
+import yaml
+
 from ..errors import ConfigurationError
+
+
+def read_yaml(path: str | Path) -> dict:
+    """The mapping a YAML file holds.
+
+    Invalid YAML, an empty file or a document that is not a mapping raises
+    ``ConfigurationError`` naming the file; ``open``'s errors pass through.
+    """
+    with open(path) as fh:
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as e:
+            raise ConfigurationError(f"{path}: invalid YAML: {e}") from None
+    if doc is None:
+        raise ConfigurationError(f"{path}: empty file")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: expected a mapping, got {type(doc).__name__}")
+    return doc
 
 
 @cache

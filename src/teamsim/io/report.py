@@ -253,10 +253,7 @@ def _cycle_dict(rec) -> dict:
 
 
 def emit_hybrid_report(
-    report: HybridReport,
-    out_dir: Path,
-    fmt: str = "json",
-    log_sink: EventLogSink | None = None,
+    report: HybridReport, out_dir: Path, log_sink: EventLogSink | None = None
 ) -> list[Path]:
     """Write cycles.json, per-priority difference series, and event logs.
 
@@ -266,7 +263,6 @@ def emit_hybrid_report(
     are the files a ``log_sink`` already wrote while the cycles ran;
     without one, no log is listed.
     """
-    _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

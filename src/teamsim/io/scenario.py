@@ -25,11 +25,11 @@ from typing import Mapping
 
 import yaml
 
-from ..des import DesConfig, GeneratorConfig
+from ..des import DesConfig, GeneratorConfig, des_day_count
 from ..domain import Affinity, Engineer, SkillSpec, WorkType
 from ..errors import ConfigurationError
 from ..sd import SdParams, SdState, sd_step_count
-from .records import read_record, read_value, write_record
+from .records import read_record, read_value, read_yaml, write_record
 
 ENV_PREFIX = "TEAMSIM_"
 
@@ -51,8 +51,10 @@ class Scenario:
         self.des.validate()
         self.sd_params.validate()
         self.sd_initial.validate()
-        # a positive, finite horizon and dt, and a bounded flow-model step count
+        # a positive, finite horizon and dt, a bounded flow-model step count
+        # and a bounded number of event-model days
         sd_step_count(self.horizon, self.dt)
+        des_day_count(self.horizon)
         if self.dt > self.horizon:
             raise ConfigurationError(f"dt must lie in (0, horizon], got {self.dt}")
         if self.replications < 1:
@@ -132,18 +134,8 @@ def apply_env_overrides(doc: dict, env: Mapping[str, str] | None = None) -> dict
 
 def load_scenario(path: str | Path, env: Mapping[str, str] | None = None) -> Scenario:
     """Load a YAML scenario, apply environment overrides, and validate."""
-    path = Path(path)
-    with path.open() as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            raise ConfigurationError(f"{path}: invalid YAML: {e}") from None
-    if doc is None:
-        raise ConfigurationError(f"{path}: empty scenario file")
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: scenario document must be a mapping")
-    doc = apply_env_overrides(doc, env)
-    return scenario_from_dict(doc, name=path.stem)
+    doc = apply_env_overrides(read_yaml(path), env)
+    return scenario_from_dict(doc, name=Path(path).stem)
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

@@ -80,7 +80,6 @@ class TicketRecord:
     closed_at: datetime | None
     work_type: WorkType
     priority: Priority
-    assignment_group: str
     touch_hours: float | None
 
     def elapsed_hours(self) -> float | None:
@@ -103,13 +102,12 @@ class IngestResult:
     n_rows: int
     n_ok: int
     service_time_source: str
-    records: list[TicketRecord]
     errors: list[tuple[int, str]]  # (1-based data row number, message)
     notes: list[str] = field(default_factory=list)
     classes: dict[tuple[str, str], ClassObservations] = field(default_factory=dict)
 
 
-def _parse_row(row: dict, line_no: int) -> TicketRecord:
+def _parse_row(row: dict) -> TicketRecord:
     try:
         opened = datetime.fromisoformat(row["opened_at"].strip())
     except ValueError:
@@ -142,7 +140,6 @@ def _parse_row(row: dict, line_no: int) -> TicketRecord:
         closed_at=closed,
         work_type=wt,
         priority=pr,
-        assignment_group=(row.get("assignment_group") or "").strip(),
         touch_hours=touch,
     )
 
@@ -174,7 +171,7 @@ def ingest_tickets(path: str | Path, service_time_source: str = "touch") -> Inge
         for row_no, row in enumerate(reader, start=1):
             n_rows += 1
             try:
-                records.append(_parse_row(row, row_no))
+                records.append(_parse_row(row))
             except DataError as e:
                 errors.append((row_no, str(e)))
 
@@ -190,7 +187,6 @@ def ingest_tickets(path: str | Path, service_time_source: str = "touch") -> Inge
         n_rows=n_rows,
         n_ok=len(records),
         service_time_source=service_time_source,
-        records=records,
         errors=errors,
     )
 
@@ -313,8 +309,6 @@ def generate_synthetic(spec: SynthSpec, seed: int, path: str | Path) -> int:
 
 def synth_spec_from_dict(doc: dict) -> SynthSpec:
     """Build a synthetic-data spec from a parsed YAML/JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("synthetic spec must be a mapping")
     spec = read_record(SynthSpec, doc)
     spec.validate()
     return spec

@@ -87,7 +87,7 @@ def test_c1_single_server_queue_matches_mm1():
         stats, _ = run_des(cfg, seed=seed, horizon=50_000.0, collect_log=False)
         pooled = stats if pooled is None else merge_stats(pooled, stats)
     key = pooled.class_keys()[0]
-    l_measured = pooled.time_avg_in_system
+    l_measured = pooled.to_flat_dict()["time_avg_in_system"]
     wq_measured = pooled.mean_queue_days(key)
     w_measured = pooled.mean_completion_days(key)
     lam = pooled.completed_total / pooled.total_days

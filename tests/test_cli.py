@@ -13,9 +13,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import teamsim.sd
 from teamsim import cli
+from teamsim.des import MAX_DES_DAYS
 from teamsim.io.scenario import default_scenario, load_scenario, save_scenario, scenario_to_dict
 
 from test_golden import GOLDEN, _files_sha
+from test_io import TOY_CSV
 
 SYNTH_SPEC = {
     "classes": [
@@ -110,6 +112,23 @@ class TestValidate:
         extra = [str(tmp_path / "out.csv")] if command == "synth" else []
         assert cli.main([command, str(p), *extra]) == 2
         assert capsys.readouterr().err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize("command", ["validate", "synth"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("- 1\n- 2\n", "expected a mapping, got list"),
+            ("a: [1\n", "invalid YAML: "),
+        ],
+    )
+    def test_yaml_file_errors_name_the_file(self, tmp_path, capsys, command, text, message):
+        # scenario and synth-spec files share one reader, and so its messages
+        p = tmp_path / "doc.yaml"
+        p.write_text(text)
+        extra = [str(tmp_path / "out.csv")] if command == "synth" else []
+        assert cli.main([command, str(p), *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}: {message}")
 
     def test_unknown_subcommand_exits_one(self):
         assert run_cli("frobnicate").returncode == 1
@@ -290,6 +309,22 @@ class TestDesCommand:
         )
         assert (d1 / "summary.json").read_bytes() != (d2 / "summary.json").read_bytes()
 
+    def test_one_day_past_the_horizon_bound_exits_one(self, capsys):
+        # rejected before the run allocates any day-by-day series
+        assert cli.main(["des", "default", "--horizon", str(MAX_DES_DAYS + 1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: horizon {MAX_DES_DAYS + 1.0!r} covers ")
+        assert "Traceback" not in err
+
+    def test_validate_applies_the_horizon_bound(self, tmp_path, capsys):
+        # a dt of 2 days keeps the flow model's step count under its own bound
+        doc = scenario_to_dict(default_scenario())
+        doc.update(horizon=MAX_DES_DAYS + 1, dt=2.0)
+        p = tmp_path / "sc.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert cli.main(["validate", str(p)]) == 1
+        assert f"covers {MAX_DES_DAYS + 1} days" in capsys.readouterr().err
+
     def test_replications_merge(self):
         res = run_cli("des", "default", "--horizon", "10", "--reps", "2")
         assert res.returncode == 0
@@ -350,6 +385,36 @@ class TestHybridCommand:
         assert res.returncode == 1
         assert "interrupt_rate" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+class TestFormatSelectsFiles:
+    """``--format`` is offered only where it changes which files are written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "{tickets}"],
+            ["des", "default", "--horizon", "5"],
+            ["sd", "default", "--horizon", "5"],
+        ],
+        ids=["fit", "des", "sd"],
+    )
+    def test_csv_and_json_write_different_files(self, tmp_path, capsys, argv):
+        tickets = tmp_path / "tickets.csv"
+        tickets.write_text(TOY_CSV)
+        args = [a.format(tickets=tickets) for a in argv]
+        names = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / fmt
+            assert cli.main([*args, "--format", fmt, "--out", str(out)]) == 0
+            names[fmt] = {p.name for p in out.iterdir()}
+        assert names["json"] != names["csv"]
+
+    def test_hybrid_takes_no_format(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["hybrid", "default", "--format", "csv", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
 
 class TestOutDirectory:

@@ -9,6 +9,7 @@ live in test_acceptance.py.
 import copy
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,9 @@ from teamsim.des import (
     DesStats,
     EventCalendar,
     GeneratorConfig,
+    MAX_DES_DAYS,
     MAX_INTERRUPT_RATE,
+    des_day_count,
     merge_stats,
     run_des,
     run_des_replicated,
@@ -485,6 +488,42 @@ class TestInterrupts:
 # ----------------------------------------------------- whole-run properties
 
 
+class TestStopPath:
+    """Skill stops, interrupts and preemptions end a segment through one path."""
+
+    @pytest.mark.parametrize("case", ["two-skill", "deep-backlog"])
+    def test_stop_records_match_the_counters(self, case):
+        if case == "two-skill":
+            mods = DesModifiers(rework_multiplier=1.0, capacity_factor=0.9, interrupt_rate=0.6)
+            stats, log = run_des(two_skill_config(), mods, seed=11, horizon=300.0)
+        else:
+            # the deep-backlog golden case: half capacity under heavy interrupts
+            sc = default_scenario()
+            mods = DesModifiers(rework_multiplier=1.2, capacity_factor=0.5, interrupt_rate=4.5)
+            stats, log = run_des(sc.des, mods, seed=sc.seed, horizon=400.0)
+        counts = Counter(rec[4] for rec in log if rec[1] == "stop")
+        assert counts == {
+            "skill": stats.stop_skill,
+            "interrupt": stats.stop_interrupt,
+            "preempt": stats.preemption_count,
+        }
+        assert min(counts.values()) > 0
+
+
+class TestHorizonBound:
+    def test_the_bound_is_the_last_day_count_accepted(self):
+        # checked on the function alone: a run at the bound would allocate its series
+        assert des_day_count(MAX_DES_DAYS) == MAX_DES_DAYS
+        assert des_day_count(MAX_DES_DAYS + 0.5) == MAX_DES_DAYS
+        with pytest.raises(ConfigurationError, match="more than the 1000000 allowed"):
+            des_day_count(MAX_DES_DAYS + 1)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_engine_rejects_a_bad_horizon(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon must be positive and finite"):
+            run_des(single_class_config(), seed=1, horizon=horizon)
+
+
 class TestRunProperties:
     def test_same_seed_reproduces_log_and_stats(self):
         cfg = mm1_config()
@@ -522,7 +561,7 @@ class TestRunProperties:
         key = (WorkType.SERVICE_REQUEST, Priority.P3)
         lam = stats.completed_total / stats.horizon
         w = stats.mean_completion_days(key)
-        assert stats.time_avg_in_system == pytest.approx(lam * w, rel=0.05)
+        assert stats.to_flat_dict()["time_avg_in_system"] == pytest.approx(lam * w, rel=0.05)
 
     def test_log_is_time_ordered_and_causal(self):
         _, log = run_des(mm1_config(), seed=3, horizon=150.0)

@@ -140,6 +140,30 @@ class TestIngest:
         row_no, reason = res.errors[0]
         assert row_no == 5 and "opened_at" in reason
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("2025-03-01T09:00:00,yesterday,incident,P1,team-core,1.0",
+             "bad closed_at timestamp: 'yesterday'"),
+            ("2025-03-01T09:00:00,2025-02-28T09:00:00,incident,P1,team-core,1.0",
+             "closed_at precedes opened_at"),
+            ("2025-03-01T09:00:00,,incident,P1,team-core,lots", "bad touch_hours: 'lots'"),
+            ("2025-03-01T09:00:00,,incident,P1,team-core,-1.0",
+             "touch_hours must be finite and >= 0, got -1.0"),
+            ("2025-03-01T09:00:00,,bug,P1,team-core,1.0", "unknown work type label: 'bug'"),
+            ("2025-03-01T09:00:00,,incident,P9,team-core,1.0", "unknown priority label: 'P9'"),
+        ],
+    )
+    def test_each_bad_field_is_a_row_error(self, tmp_path, row, reason):
+        good = [
+            f"2025-02-{day:02d}T09:00:00,,incident,P2,team-core,1.5" for day in range(1, 11)
+        ]
+        p = tmp_path / "tickets.csv"
+        p.write_text("\n".join([TOY_CSV.splitlines()[0], *good[:3], row, *good[3:]]) + "\n")
+        res = ingest_tickets(p)
+        assert res.n_rows == 11 and res.n_ok == 10
+        assert res.errors == [(4, reason)]
+
     def test_mostly_bad_file_rejected(self, tmp_path):
         rows = ["x,,incident,P1,team-core,1.0"] * 9
         rows.insert(0, TOY_CSV.splitlines()[1])
@@ -286,7 +310,7 @@ class TestReportEmission:
         sc = default_scenario()
         sink = hybrid_log_sink(tmp_path)
         report = run_hybrid(sc, cycles_max=2, log_sink=sink)
-        written = emit_hybrid_report(report, tmp_path, fmt="json", log_sink=sink)
+        written = emit_hybrid_report(report, tmp_path, log_sink=sink)
         names = {p.name for p in written}
         assert "cycles.json" in names
         assert {"diff_p1.csv", "diff_p2.csv", "diff_p3.csv"} <= names
@@ -310,6 +334,33 @@ class TestReportEmission:
         inc = doc["classes"]["incident.p1"]
         assert inc["n"] == 3
         assert inc["rate_per_day"] == pytest.approx(1.0 / 1.5, rel=1e-5)
+
+    def test_sd_csv_summary_holds_the_json_summary(self, tmp_path):
+        sc = default_scenario()
+        traj = run_sd(sc.sd_initial, sc.sd_params, 20.0, 0.25)
+        emit_sd_report(traj, tmp_path / "json", fmt="json")
+        emit_sd_report(traj, tmp_path / "csv", fmt="csv")
+        doc = json.loads((tmp_path / "json" / "summary.json").read_text())
+        doc.update({f"final.{k}": v for k, v in doc.pop("final").items()})
+        rows = list(csv.reader((tmp_path / "csv" / "summary.csv").open()))
+        assert rows[0] == ["key", "value"]
+        # both round to six significant digits, so the values are equal floats
+        assert {k: float(v) for k, v in rows[1:]} == doc
+        trajectory = [(tmp_path / d / "trajectory.csv").read_bytes() for d in ("json", "csv")]
+        assert trajectory[0] == trajectory[1]
+
+    def test_fit_csv_holds_the_json_classes(self, tmp_path):
+        src = tmp_path / "tickets.csv"
+        src.write_text(TOY_CSV)
+        res = ingest_tickets(src)
+        emit_fit_report(res, tmp_path / "json", fmt="json")
+        emit_fit_report(res, tmp_path / "csv", fmt="csv")
+        classes = json.loads((tmp_path / "json" / "fits.json").read_text())["classes"]
+        rows = list(csv.DictReader((tmp_path / "csv" / "fits.csv").open()))
+        got = {r.pop("class"): {k: float(v) if v else None for k, v in r.items()} for r in rows}
+        # a class with one opening has no rate fit: null in JSON, empty in CSV
+        assert classes["service_request.p3"]["rate_per_day"] is None
+        assert got == classes
 
     def test_bad_format_rejected(self, tmp_path):
         stats, _ = run_des(default_scenario().des, seed=20, horizon=5.0)
