@@ -50,8 +50,8 @@ def main() -> int:
     print(f"fatigue {final.fatigue:.3f}  pressure {final.mgmt_pressure:.3f}  "
           f"rework pool {final.rework_pool:.1f}  clamps {traj.clamp_events}")
 
-    written = emit_des_report(stats, sink.out_dir, fmt="json", log_sink=sink)
-    written += emit_sd_report(traj, out / "sd", fmt="json")
+    written = emit_des_report(stats, sink.out_dir, log_sink=sink)
+    written += emit_sd_report(traj, out / "sd")
     print(f"\nwrote {len(written)} files under {out}/")
     return 0
 

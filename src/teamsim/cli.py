@@ -68,7 +68,7 @@ def _fmt(x: float) -> str:
 def _cmd_fit(args) -> int:
     result = ingest_tickets(args.tickets, service_time_source=args.service_time_source)
     if args.out:
-        paths = emit_fit_report(result, Path(args.out), args.format)
+        paths = emit_fit_report(result, Path(args.out))
         for p in paths:
             print(p)
         return 0
@@ -104,7 +104,7 @@ def _cmd_des(args) -> int:
         scenario.des, None, seed=seed, horizon=horizon, replications=reps, log_sink=sink
     )
     if sink is not None:
-        for p in emit_des_report(stats, sink.out_dir, args.format, log_sink=sink):
+        for p in emit_des_report(stats, sink.out_dir, log_sink=sink):
             print(p)
         return 0
     flat = stats.to_flat_dict()
@@ -120,7 +120,7 @@ def _cmd_sd(args) -> int:
     dt = scenario.dt if args.dt is None else args.dt
     traj = run_sd(scenario.sd_initial, scenario.sd_params, horizon, dt)
     if args.out:
-        for p in emit_sd_report(traj, Path(args.out), args.format):
+        for p in emit_sd_report(traj, Path(args.out)):
             print(p)
         return 0
     final = traj.final_state.as_dict()
@@ -178,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="touch",
         help="which column carries service time",
     )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="directory for fit reports (default: print)")
     p.set_defaults(func=_cmd_fit)
 
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="directory for reports (default: print summary)")
     p.set_defaults(func=_cmd_des)
 
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario YAML path, or 'default'")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="directory for reports (default: print final state)")
     p.set_defaults(func=_cmd_sd)
 

@@ -231,9 +231,6 @@ class WorkQueue:
     def __contains__(self, item_id: int) -> bool:
         return item_id in self._index
 
-    def count(self, priority: Priority) -> int:
-        return self.priority_counts[priority]
-
     def push(self, item: WorkItem, now: float) -> None:
         if item.id in self._index:
             raise StructuralError(f"{self.name}: duplicate push of item {item.id}")

@@ -1,13 +1,15 @@
 """Deterministic report emission.
 
+Each report file has one encoding: summaries (``summary.json``,
+``fits.json``, ``cycles.json``) are JSON, tables (``queue_lengths.csv``,
+``trajectory.csv``, ``diff_p*.csv``) are CSV, and event logs are NDJSON.
 Every emitter renders floats at six significant digits, sorts JSON keys,
 and writes newline-terminated text, so re-running the same result object
 yields byte-identical files.  CSV columns with no value render as empty
 fields.  The CSV and event-log writers stream one line per record to the
 open file, so no joined copy of a whole file is built in memory, and an
 ``EventLogSink`` writes each run's event log the moment that run ends, so
-no more than one run's log need be held at a time.  Event logs have one
-encoding, NDJSON, for every command.
+no more than one run's log need be held at a time.
 
 An event's time is written as ``json.dumps`` writes ``round(t, 6)``, that
 is ``repr(round(t, 6))``, but on ``1e-4 <= t < 1e9`` it is rendered as
@@ -31,11 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 from ..des import DesStats, EventRecord
 from ..domain import Priority
-from ..errors import ConfigurationError
 from ..hybrid import HybridReport
 from ..sd import SdTrajectory
-
-FORMATS = ("json", "csv")
 
 
 def _sig6(x: float) -> float:
@@ -163,19 +162,9 @@ def hybrid_log_sink(out_dir: Path) -> EventLogSink:
     return EventLogSink(out_dir, "eventlog_cycle{}.ndjson")
 
 
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ConfigurationError(f"format must be one of {FORMATS}, got {fmt!r}")
-
-
-def _kv_rows(flat: dict) -> list[tuple[str, object]]:
-    return [(k, flat[k]) for k in sorted(flat)]
-
-
 def emit_des_report(
     stats: DesStats,
     out_dir: Path,
-    fmt: str = "json",
     log_sink: EventLogSink | None = None,
 ) -> list[Path]:
     """Write summary and daily queue series; list the sink's event logs.
@@ -183,18 +172,11 @@ def emit_des_report(
     The event logs are the files a ``log_sink`` already wrote while the
     replications ran; without one, no log is listed.
     """
-    _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    flat = stats.to_flat_dict()
-    if fmt == "json":
-        p = out_dir / "summary.json"
-        write_json(flat, p)
-    else:
-        p = out_dir / "summary.csv"
-        write_csv(p, ("key", "value"), _kv_rows(flat))
-    written.append(p)
+    p = out_dir / "summary.json"
+    write_json(stats.to_flat_dict(), p)
+    written = [p]
 
     reps = stats.replications
     by_priority = [stats.daily_queue_by_priority[pr] for pr in (Priority.P1, Priority.P2, Priority.P3)]
@@ -211,9 +193,8 @@ def emit_des_report(
     return written
 
 
-def emit_sd_report(traj: SdTrajectory, out_dir: Path, fmt: str = "json") -> list[Path]:
+def emit_sd_report(traj: SdTrajectory, out_dir: Path) -> list[Path]:
     """Write the wide trajectory table plus a small summary."""
-    _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = zip(traj.times, *traj.columns.values())
@@ -229,15 +210,8 @@ def emit_sd_report(traj: SdTrajectory, out_dir: Path, fmt: str = "json") -> list
         "mean_error_frac": traj.mean("error_frac"),
         "mean_stop_rate": traj.mean("stop_rate"),
     }
-    if fmt == "json":
-        p_sum = out_dir / "summary.json"
-        write_json(summary, p_sum)
-    else:
-        flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
-        for k, v in summary["final"].items():
-            flat[f"final.{k}"] = v
-        p_sum = out_dir / "summary.csv"
-        write_csv(p_sum, ("key", "value"), _kv_rows(flat))
+    p_sum = out_dir / "summary.json"
+    write_json(summary, p_sum)
     return [p_traj, p_sum]
 
 
@@ -294,9 +268,8 @@ def emit_hybrid_report(
     return written
 
 
-def emit_fit_report(result, out_dir: Path, fmt: str = "json") -> list[Path]:
-    """Write per-class fit results from an ingest."""
-    _check_format(fmt)
+def emit_fit_report(result, out_dir: Path) -> list[Path]:
+    """Write ``fits.json``: an ingest's row counts, its bad rows and its per-class fits."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     classes = {}
@@ -314,16 +287,6 @@ def emit_fit_report(result, out_dir: Path, fmt: str = "json") -> list[Path]:
         "bad_rows": [{"row": r, "reason": m} for r, m in result.errors],
         "classes": classes,
     }
-    if fmt == "json":
-        p = out_dir / "fits.json"
-        write_json(doc, p)
-    else:
-        rows = []
-        for key in sorted(classes):
-            c = classes[key]
-            rows.append(
-                (key, c["n"], c["rate_per_day"], c["ks_distance"], c["mean_service_hours"])
-            )
-        p = out_dir / "fits.csv"
-        write_csv(p, ("class", "n", "rate_per_day", "ks_distance", "mean_service_hours"), rows)
+    p = out_dir / "fits.json"
+    write_json(doc, p)
     return [p]

@@ -171,11 +171,9 @@ class TestWorkQueue:
         q.push(make_item(1, Priority.P1), now=0.0)
         q.push(make_item(2, Priority.P3), now=0.0)
         q.push(make_item(3, Priority.P3), now=0.0)
-        assert q.count(Priority.P1) == 1
-        assert q.count(Priority.P3) == 2
-        q.remove(3, now=0.0)
-        assert q.count(Priority.P3) == 1
         counts = q.priority_counts
+        assert counts[Priority.P1] == 1 and counts[Priority.P3] == 2
+        q.remove(3, now=0.0)
         assert counts[Priority.P1] == 1 and counts[Priority.P3] == 1
         assert sum(counts) == len(q)
 

@@ -5,7 +5,7 @@ a change that alters every run the same way.  These digests pin the exact
 bytes instead: event-log lines, summary floats at full ``repr`` precision,
 daily series (among them a deep-backlog run whose interrupted items go
 back into long queues), the SD trajectory, and the report files: the SD
-``trajectory.csv`` and ``summary.json``, the hybrid
+``trajectory.csv`` and ``summary.json``, the ``fit`` ``fits.json``, the hybrid
 ``cycles.json`` and per-cycle NDJSON event logs, and the ``des`` summary,
 queue series and NDJSON event logs of one and of two replications.  A
 digest may change only in a commit that says why the output changed.
@@ -25,11 +25,13 @@ from teamsim.hybrid import run_hybrid
 from teamsim.io.report import (
     des_log_sink,
     emit_des_report,
+    emit_fit_report,
     emit_hybrid_report,
     emit_sd_report,
     hybrid_log_sink,
 )
 from teamsim.io.scenario import default_scenario
+from teamsim.io.tickets import SynthClass, SynthSpec, generate_synthetic, ingest_tickets
 from teamsim.sd import run_sd
 
 from conftest import mmc_config, two_skill_config
@@ -42,7 +44,7 @@ GOLDEN = {
     "des-report-single": "1275859a211ad7362ef5cf3150795c63d6f74d7e0359b6568f0a871105da1488",
     "des-report-reps": "05c8d611a65f50be35f0ba5b2c3678bef8b9dfb1924d325cca1b4293ac9c1ff7",
     "des-report-reps-merged": "c6fc4ccf24d663bbdc210cb4c2a315533988692bb156db103c5f9f9f7bc7b5ca",
-    "des-report-csv": "f3a43bd2afec90bf935cb028b6a6cbbbacc7d624af10a40cf4c4142166c30570",
+    "fit-report": "4bc538fe26d3f3a1b84f2892d5891cd4750e2a1d47e45bbea64b7a23ea363a43",
     "sd-default": "c4ebf22d113189d66600711e68d2ae32c91a9945891474d48fcb4b11c2f258b0",
     "sd-report": "d21a03fd7c0451c5e0958094aa9b363ce646f366ad86ebc810f84c5db35a516d",
     "hybrid-cycles-json": "9657988843a0d9af49d753738b0511d54efcba03e46e85471e199f8bb6d202e5",
@@ -120,16 +122,27 @@ def _digest(name: str, tmp_path) -> str:
         sc = default_scenario()
         traj = run_sd(sc.sd_initial, sc.sd_params, sc.horizon, sc.dt)
         return _files_sha(emit_sd_report(traj, tmp_path))
+    if name == "fit-report":
+        # ``fits.json`` of ``teamsim fit --out`` on a synthetic corpus with
+        # one malformed row appended, so ``bad_rows`` is not empty
+        spec = SynthSpec(
+            classes=[
+                SynthClass("incident", 2.0, (0.4, 0.4, 0.2), (1.5, 3.0, 5.0)),
+                SynthClass("service_request", 0.5, (0.0, 0.4, 0.6), (2.0, 4.0, 8.0)),
+            ],
+            span_days=120.0,
+        )
+        src = tmp_path / "tickets.csv"
+        generate_synthetic(spec, seed=11, path=src)
+        with src.open("a") as f:
+            f.write("not-a-date,2025-02-01T00:00:00,incident,P1,team-core,1.0\n")
+        return _files_sha(emit_fit_report(ingest_tickets(src), tmp_path / "fit"))
     if name == "des-report-single":
         sc = default_scenario()
         stats, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)
         sink = des_log_sink(tmp_path, 1)
         sink(0, log)
         return _files_sha(emit_des_report(stats, tmp_path, log_sink=sink))
-    if name == "des-report-csv":
-        sc = default_scenario()
-        stats, _ = run_des(sc.des, seed=sc.seed, horizon=sc.horizon, collect_log=False)
-        return _files_sha(emit_des_report(stats, tmp_path, fmt="csv"))
     if name == "des-report-reps":
         sc = default_scenario()
         sink = des_log_sink(tmp_path, 2)

@@ -265,7 +265,7 @@ class TestReportEmission:
         stats, log = run_des(default_scenario().des, seed=20, horizon=30.0)
         sink = des_log_sink(tmp_path, 1)
         sink(0, log)
-        written = emit_des_report(stats, tmp_path, fmt="json", log_sink=sink)
+        written = emit_des_report(stats, tmp_path, log_sink=sink)
         names = {p.name for p in written}
         assert names == {"summary.json", "queue_lengths.csv", "eventlog.ndjson"}
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -277,29 +277,20 @@ class TestReportEmission:
         first = json.loads((tmp_path / "eventlog.ndjson").read_text().splitlines()[0])
         assert set(first) == {"time", "event_kind", "item_id", "engineer_id", "detail"}
 
-    def test_csv_format_summary(self, tmp_path):
-        stats, _ = run_des(default_scenario().des, seed=20, horizon=10.0)
-        written = emit_des_report(stats, tmp_path, fmt="csv")
-        assert (tmp_path / "summary.csv").exists()
-        rows = list(csv.reader((tmp_path / "summary.csv").open()))
-        assert rows[0] == ["key", "value"]
-        keys = [r[0] for r in rows[1:]]
-        assert keys == sorted(keys)
-
     def test_emission_is_repeatable_bytes(self, tmp_path):
         stats, log = run_des(default_scenario().des, seed=20, horizon=20.0)
         d1, d2 = tmp_path / "one", tmp_path / "two"
         for d in (d1, d2):
             sink = des_log_sink(d, 1)
             sink(0, log)
-            emit_des_report(stats, d, fmt="json", log_sink=sink)
+            emit_des_report(stats, d, log_sink=sink)
         for name in ("summary.json", "queue_lengths.csv", "eventlog.ndjson"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_sd_report_shape(self, tmp_path):
         sc = default_scenario()
         traj = run_sd(sc.sd_initial, sc.sd_params, 20.0, 0.25)
-        emit_sd_report(traj, tmp_path, fmt="json")
+        emit_sd_report(traj, tmp_path)
         rows = list(csv.DictReader((tmp_path / "trajectory.csv").open()))
         assert len(rows) == len(traj)
         assert "project_backlog" in rows[0] and "work_pressure" in rows[0]
@@ -328,44 +319,12 @@ class TestReportEmission:
         src = tmp_path / "tickets.csv"
         src.write_text(TOY_CSV)
         res = ingest_tickets(src)
-        emit_fit_report(res, tmp_path, fmt="json")
+        emit_fit_report(res, tmp_path)
         doc = json.loads((tmp_path / "fits.json").read_text())
         assert doc["rows"] == 4 and doc["rows_ok"] == 4
         inc = doc["classes"]["incident.p1"]
         assert inc["n"] == 3
         assert inc["rate_per_day"] == pytest.approx(1.0 / 1.5, rel=1e-5)
-
-    def test_sd_csv_summary_holds_the_json_summary(self, tmp_path):
-        sc = default_scenario()
-        traj = run_sd(sc.sd_initial, sc.sd_params, 20.0, 0.25)
-        emit_sd_report(traj, tmp_path / "json", fmt="json")
-        emit_sd_report(traj, tmp_path / "csv", fmt="csv")
-        doc = json.loads((tmp_path / "json" / "summary.json").read_text())
-        doc.update({f"final.{k}": v for k, v in doc.pop("final").items()})
-        rows = list(csv.reader((tmp_path / "csv" / "summary.csv").open()))
-        assert rows[0] == ["key", "value"]
-        # both round to six significant digits, so the values are equal floats
-        assert {k: float(v) for k, v in rows[1:]} == doc
-        trajectory = [(tmp_path / d / "trajectory.csv").read_bytes() for d in ("json", "csv")]
-        assert trajectory[0] == trajectory[1]
-
-    def test_fit_csv_holds_the_json_classes(self, tmp_path):
-        src = tmp_path / "tickets.csv"
-        src.write_text(TOY_CSV)
-        res = ingest_tickets(src)
-        emit_fit_report(res, tmp_path / "json", fmt="json")
-        emit_fit_report(res, tmp_path / "csv", fmt="csv")
-        classes = json.loads((tmp_path / "json" / "fits.json").read_text())["classes"]
-        rows = list(csv.DictReader((tmp_path / "csv" / "fits.csv").open()))
-        got = {r.pop("class"): {k: float(v) if v else None for k, v in r.items()} for r in rows}
-        # a class with one opening has no rate fit: null in JSON, empty in CSV
-        assert classes["service_request.p3"]["rate_per_day"] is None
-        assert got == classes
-
-    def test_bad_format_rejected(self, tmp_path):
-        stats, _ = run_des(default_scenario().des, seed=20, horizon=5.0)
-        with pytest.raises(ConfigurationError):
-            emit_des_report(stats, tmp_path, fmt="xml")
 
 
 class TestLogSink:
@@ -699,6 +658,12 @@ class TestScenarioIO:
         assert sc.seed == 7
         assert sc.sd_params.s_base == pytest.approx(0.1)
         assert sc.des.generators[0].daily_rate == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("value", ["a: [1", "7\udcff"])
+    def test_env_override_unparsable_value_rejected(self, value):
+        # "\udcff" is what os.environ makes of the undecodable byte 0xff
+        with pytest.raises(ConfigurationError, match="TEAMSIM_SEED: cannot parse value"):
+            apply_env_overrides({}, {"TEAMSIM_SEED": value})
 
     def test_env_override_bad_index_rejected(self):
         doc = {"generators": [{"daily_rate": 1.0}]}
