@@ -11,9 +11,7 @@ strings are numbers (PyYAML reads ``1e17`` as a string), an ``int`` takes
 an integral float but no bool, and a ``str`` takes any scalar.  Any other
 value raises ``ConfigurationError`` naming its key path, as in
 ``des.base_error_prob: expected float, got 'abc'``.  ``read_yaml`` reads
-the mapping a file holds.  Files and ``TEAMSIM_*`` overrides both parse
-with ``YAML_LOADER``: ``yaml.CSafeLoader`` where PyYAML was built with
-libyaml, else ``yaml.SafeLoader``; only the parser differs between them.
+the mapping a file holds.
 """
 from __future__ import annotations
 
@@ -29,8 +27,6 @@ import yaml
 
 from ..errors import ConfigurationError
 
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
 
 def read_yaml(path: str | Path) -> dict:
     """The mapping a YAML file holds.
@@ -40,7 +36,7 @@ def read_yaml(path: str | Path) -> dict:
     """
     with open(path) as fh:
         try:
-            doc = yaml.load(fh, Loader=YAML_LOADER)
+            doc = yaml.safe_load(fh)
         except yaml.YAMLError as e:
             raise ConfigurationError(f"{path}: invalid YAML: {e}") from None
     if doc is None:

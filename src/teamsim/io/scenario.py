@@ -29,7 +29,7 @@ from ..des import DesConfig, GeneratorConfig, des_day_count
 from ..domain import Affinity, Engineer, SkillSpec, WorkType
 from ..errors import ConfigurationError
 from ..sd import SdParams, SdState, sd_step_count
-from .records import YAML_LOADER, read_record, read_value, read_yaml, write_record
+from .records import read_record, read_value, read_yaml, write_record
 
 ENV_PREFIX = "TEAMSIM_"
 
@@ -109,11 +109,9 @@ def apply_env_overrides(doc: dict, env: Mapping[str, str] | None = None) -> dict
         if not key.startswith(ENV_PREFIX):
             continue
         path = key[len(ENV_PREFIX):].lower().split("__")
-        # libyaml first encodes the text as UTF-8, which fails on the lone
-        # surrogate that ``os.environ`` makes of an undecodable byte
         try:
-            value = yaml.load(env[key], Loader=YAML_LOADER)
-        except (yaml.YAMLError, UnicodeEncodeError):
+            value = yaml.safe_load(env[key])
+        except yaml.YAMLError:
             raise ConfigurationError(f"{key}: cannot parse value {env[key]!r}") from None
         node: object = doc
         try:

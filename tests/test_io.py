@@ -325,6 +325,8 @@ class TestReportEmission:
         inc = doc["classes"]["incident.p1"]
         assert inc["n"] == 3
         assert inc["rate_per_day"] == pytest.approx(1.0 / 1.5, rel=1e-5)
+        # a class with one opening has no rate fit
+        assert doc["classes"]["service_request.p3"]["rate_per_day"] is None
 
 
 class TestLogSink:
