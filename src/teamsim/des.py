@@ -462,30 +462,11 @@ class DesStats:
             return None
         return math.fsum(samples) / len(samples)
 
-    def median_completion_days(self, key) -> float | None:
-        samples = self.completion_samples.get(key)
-        if not samples:
-            return None
-        return _quantile(sorted(samples), 0.5)
-
-    def p90_completion_days(self, key) -> float | None:
-        samples = self.completion_samples.get(key)
-        if not samples:
-            return None
-        return _quantile(sorted(samples), 0.9)
-
     def mean_queue_days(self, key) -> float | None:
         samples = self.queue_time_samples.get(key)
         if not samples:
             return None
         return math.fsum(samples) / len(samples)
-
-    def daily_mean_completion(self, key) -> list[float | None]:
-        sums = self.daily_completion_sum.get(key)
-        if sums is None:
-            return [None] * self.n_days
-        counts = self.daily_completion_count[key]
-        return [s / c if c > 0 else None for s, c in zip(sums, counts)]
 
     # -- pooled over the work types of one priority ----------------------------------
     def completed_of_priority(self, priority: Priority) -> int:
@@ -563,7 +544,7 @@ class DesStats:
             out[f"{stem}.arrived"] = self.arrived.get(key, 0)
             out[f"{stem}.completed"] = self.completed.get(key, 0)
             out[f"{stem}.mean_completion_days"] = self.mean_completion_days(key)
-            # the two quantiles of median_ and p90_completion_days, from one sort
+            # the median and the 90th percentile, from one sort
             ranked = sorted(self.completion_samples.get(key, ()))
             out[f"{stem}.median_completion_days"] = _quantile(ranked, 0.5) if ranked else None
             out[f"{stem}.p90_completion_days"] = _quantile(ranked, 0.9) if ranked else None

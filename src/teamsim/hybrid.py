@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
-from .des import DesModifiers, DesStats, EventRecord, run_des
+from .des import DesModifiers, DesStats, EventRecord, run_des_replicated
 from .domain import WorkType
 from .errors import ConfigurationError
 from .sd import SdParams, SdState, SdTrajectory, run_sd
@@ -167,11 +167,13 @@ def run_hybrid(
     Cycle k >= 1 runs with the modifiers cycle k - 1 fed back, and the run
     stops early, ``converged``, once its own output differs from them by
     less than ``tol`` (largest relative component change).
-    Event logs are collected only for a ``log_sink``: cycle ``k``'s log is
-    handed to ``log_sink(k, log)`` as soon as that cycle's event-model run
-    ends and is not kept.  The next cycle's ``run_des`` validates the fed-back
-    modifiers, so an interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends
-    the run with a ``ConfigurationError``.
+    Each cycle's event model is one ``run_des_replicated`` replication, so
+    its log is handled as a replication's is: collected only for a
+    ``log_sink``, handed to it as soon as the run ends, and not kept; the
+    sink receives it as ``log_sink(k, log)`` for cycle ``k``.  The next
+    cycle's event-model run validates the fed-back modifiers, so an
+    interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends the run with a
+    ``ConfigurationError``.
     """
     scenario = replace(
         scenario,
@@ -185,23 +187,21 @@ def run_hybrid(
     cycles: list[CycleRecord] = []
     converged = False
     for k in range(scenario.cycles_max):
-        stats, log = run_des(
+        # one replication, whose log the sink files under cycle k
+        stats = run_des_replicated(
             scenario.des,
             modifiers,
             seed=scenario.seed + k,
             horizon=scenario.horizon,
-            collect_log=log_sink is not None,
+            log_sink=None if log_sink is None else lambda _, log: log_sink(k, log),
         )
-        if log_sink is not None:
-            log_sink(k, log)
-        # each log and trajectory is dropped once used, so neither is held
-        # through a later run, where the memory peak comes
-        del log
         ff = extract_feedforward(stats)
         params_k = apply_feedforward(scenario.sd_params, ff, scenario.sd_initial)
         traj = run_sd(scenario.sd_initial, params_k, scenario.horizon, scenario.dt)
         summary = summarize_trajectory(traj)
         out = extract_feedback(traj, params_k, scenario.des.interrupt_base_rate)
+        # dropped once used, so no trajectory is held through a later run,
+        # where the memory peak comes
         del traj
         cycles.append(
             CycleRecord(

@@ -7,9 +7,10 @@ Every emitter renders floats at six significant digits, sorts JSON keys,
 and writes newline-terminated text, so re-running the same result object
 yields byte-identical files.  CSV columns with no value render as empty
 fields.  The CSV and event-log writers stream one line per record to the
-open file, so no joined copy of a whole file is built in memory, and an
-``EventLogSink`` writes each run's event log the moment that run ends, so
-no more than one run's log need be held at a time.
+open file, so no joined copy of a whole file is built in memory.
+``write_event_log_ndjson`` is the one NDJSON writer: an ``EventLogSink``
+calls it for each run's event log the moment that run ends, so no more
+than one run's log need be held at a time.
 
 An event's time is written as ``json.dumps`` writes ``round(t, 6)``, that
 is ``repr(round(t, 6))``, but on ``1e-4 <= t < 1e9`` it is rendered as
@@ -103,10 +104,11 @@ def _ndjson_lines(log: Iterable[EventRecord]) -> Iterator[str]:
         )
 
 
-def format_event_ndjson(rec: EventRecord) -> str:
-    """One NDJSON line, equal to ``json.dumps`` of the record with ``sort_keys``.
+def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
+    """Stream one NDJSON line per record; an empty log writes an empty file.
 
-    The keys are fixed, so the line is an f-string in sorted-key order with
+    Each line equals ``json.dumps`` of the record with ``sort_keys``: the
+    keys are fixed, so the line is an f-string in sorted-key order with
     json's default separators; strings go through the same C escaper that
     ``json.dumps`` uses, and ``time`` is rounded to 6 decimals.  The time is
     fixed-point text with trailing zeros stripped on ``1e-4 <= time < 1e9``
@@ -115,14 +117,8 @@ def format_event_ndjson(rec: EventRecord) -> str:
     fixed-point text can carry digits ``repr`` drops (see the module
     docstring).  Event times are finite floats from the engine's clock:
     ``repr`` would render ``nan``/``inf`` where json writes
-    ``NaN``/``Infinity``.  ``write_event_log_ndjson`` writes its lines from
-    the same template.
+    ``NaN``/``Infinity``.
     """
-    return next(_ndjson_lines((rec,)))[:-1]
-
-
-def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
-    """Stream one ``format_event_ndjson`` line per record; an empty log writes an empty file."""
     with path.open("w") as f:
         f.writelines(_ndjson_lines(log))
 

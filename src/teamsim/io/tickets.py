@@ -90,8 +90,6 @@ class TicketRecord:
 
 @dataclass
 class ClassObservations:
-    work_type: str
-    priority: str
     n: int
     arrival_fit: RateFit | None
     mean_service_hours: float | None
@@ -103,7 +101,6 @@ class IngestResult:
     n_ok: int
     service_time_source: str
     errors: list[tuple[int, str]]  # (1-based data row number, message)
-    notes: list[str] = field(default_factory=list)
     classes: dict[tuple[str, str], ClassObservations] = field(default_factory=dict)
 
 
@@ -149,8 +146,10 @@ def ingest_tickets(path: str | Path, service_time_source: str = "touch") -> Inge
 
     Individual bad rows are collected (row number plus reason) rather than
     aborting; more than 10% bad rows rejects the file.  An empty file is
-    legal but logged as a warning.  ``service_time_source`` declares which
-    column carries service time: hands-on ``touch`` hours or wall-clock
+    legal but logged as a warning.  Coincident openings carry no rate
+    information: they are dropped from a class's gaps, and their count is
+    logged as a warning.  ``service_time_source`` declares which column
+    carries service time: hands-on ``touch`` hours or wall-clock
     ``elapsed`` time between opening and closing.
     """
     if service_time_source not in SERVICE_TIME_SOURCES:
@@ -204,7 +203,7 @@ def ingest_tickets(path: str | Path, service_time_source: str = "touch") -> Inge
             else:
                 gaps.append(g)
         if dropped:
-            result.notes.append(f"{key[0]}/{key[1]}: dropped {dropped} zero gaps")
+            log.warning("%s: %s/%s: dropped %d zero gaps", path, key[0], key[1], dropped)
         fit = fit_rate(gaps) if len(gaps) >= 2 else None
         if service_time_source == "touch":
             svc = [r.touch_hours for r in rows if r.touch_hours is not None]
@@ -212,8 +211,6 @@ def ingest_tickets(path: str | Path, service_time_source: str = "touch") -> Inge
             svc = [r.elapsed_hours() for r in rows if r.closed_at is not None]
         mean_svc = math.fsum(svc) / len(svc) if svc else None
         result.classes[key] = ClassObservations(
-            work_type=key[0],
-            priority=key[1],
             n=len(rows),
             arrival_fit=fit,
             mean_service_hours=mean_svc,

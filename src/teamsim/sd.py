@@ -385,13 +385,15 @@ def mass_residuals(traj: SdTrajectory, params: SdParams) -> list[tuple[float, fl
     Each chain's stocks minus its initial mass must equal integrated
     exogenous inflow; the residual is normalized by max(1, chain mass).
     """
-    s0 = traj.states[0]
-    proj0 = s0.project_backlog + s0.project_wip + s0.project_completed
-    ops0 = s0.ops_backlog + s0.ops_wip + s0.ops_completed + s0.rework_pool
+    col = traj.columns
+    # each chain's mass at every record
+    proj_chain = zip(col["project_backlog"], col["project_wip"], col["project_completed"])
+    proj_mass = [b + w + c for b, w, c in proj_chain]
+    ops_chain = zip(col["ops_backlog"], col["ops_wip"], col["ops_completed"], col["rework_pool"])
+    ops_mass = [b + w + c + r for b, w, c, r in ops_chain]
+    proj0, ops0 = proj_mass[0], ops_mass[0]
     out = []
-    for t, s in zip(traj.times, traj.states):
-        proj = s.project_backlog + s.project_wip + s.project_completed
-        ops = s.ops_backlog + s.ops_wip + s.ops_completed + s.rework_pool
+    for t, proj, ops in zip(traj.times, proj_mass, ops_mass):
         proj_expect = proj0 + params.project_arrivals * t
         ops_expect = ops0 + (params.ops_arrivals + params.rework_inflow) * t
         rp = (proj - proj_expect) / max(1.0, abs(proj_expect))

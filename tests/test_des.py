@@ -827,14 +827,6 @@ class TestStatsDeclaration:
                         series.extend([7.0, 7.0])
             assert (vars(x), vars(y)) == before
 
-    def test_flat_summary_quantiles_match_the_methods(self):
-        stats, _ = run_des(two_skill_config(), seed=4, horizon=60.0, collect_log=False)
-        flat = stats.to_flat_dict()
-        for key in stats.class_keys():
-            stem = f"class.{key[0].value}.{key[1].name.lower()}"
-            assert flat[f"{stem}.median_completion_days"] == stats.median_completion_days(key)
-            assert flat[f"{stem}.p90_completion_days"] == stats.p90_completion_days(key)
-
 
 # hypothesis: teams of several skill types.  "data" has a single engineer, so
 # its work is routed to the one candidate and never stolen; nobody holds "ml",

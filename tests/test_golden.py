@@ -63,6 +63,14 @@ def _exact(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _daily_mean(stats, key) -> list[float | None]:
+    # a class's mean completion days per day, None on days it completed nothing
+    no_days = [0] * stats.n_days
+    sums = stats.daily_completion_sum.get(key, no_days)
+    counts = stats.daily_completion_count.get(key, no_days)
+    return [s / c if c > 0 else None for s, c in zip(sums, counts)]
+
+
 def _des_lines(stats, log) -> list[str]:
     # the digests were recorded with each event as a CSV line and with a
     # team-queue series that was always 0 (work is routed the moment it
@@ -74,8 +82,7 @@ def _des_lines(stats, log) -> list[str]:
         "individual": stats.daily_individual_queue,
         "by_priority": {p.name: v for p, v in stats.daily_queue_by_priority.items()},
         "daily_mean": {
-            f"{wt.value}.{pr.name}": stats.daily_mean_completion((wt, pr))
-            for wt, pr in stats.class_keys()
+            f"{wt.value}.{pr.name}": _daily_mean(stats, (wt, pr)) for wt, pr in stats.class_keys()
         },
         "final_in_queue": {f"{wt.value}.{pr.name}": n for (wt, pr), n in stats.final_in_queue.items()},
         "final_in_service": {

@@ -61,3 +61,23 @@ def test_no_import_goes_unread():
                 if name not in read
             ]
     assert not unread, "imports never read:\n" + "\n".join(unread)
+
+
+def _bound(tree: ast.Module) -> set[str]:
+    # names a module binds at its top level, by import, assignment or definition
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_each_name_has_one_import_path():
+    # a public name is imported from the module that defines it; the
+    # packages re-export none, so no second import path grows back
+    expected = {"src/teamsim/__init__.py": {"__version__"}, "src/teamsim/io/__init__.py": set()}
+    bound = {rel: _bound(ast.parse((ROOT / rel).read_text())) for rel in expected}
+    assert bound == expected

@@ -3,6 +3,7 @@ import copy
 import csv
 import dataclasses
 import json
+import logging
 import math
 import random
 import weakref
@@ -24,7 +25,6 @@ from teamsim.io.report import (
     emit_fit_report,
     emit_hybrid_report,
     emit_sd_report,
-    format_event_ndjson,
     hybrid_log_sink,
     write_csv,
     write_event_log_ndjson,
@@ -48,7 +48,6 @@ from teamsim.hybrid import run_hybrid
 from teamsim.sd import SdParams, SdState, run_sd
 
 from conftest import single_class_config
-from convert_des_report import convert
 
 TOY_CSV = """opened_at,closed_at,work_type,priority,assignment_group,touch_hours
 2025-01-06T09:00:00,2025-01-06T17:00:00,incident,P1,team-core,2.0
@@ -190,12 +189,14 @@ class TestIngest:
         with pytest.raises(DataError, match="missing required columns"):
             ingest_tickets(p)
 
-    def test_coincident_openings_dropped_with_note(self, tmp_path):
+    def test_coincident_openings_dropped_with_note(self, tmp_path, caplog):
         dup = TOY_CSV + "2025-01-06T09:00:00,2025-01-06T12:00:00,incident,P1,team-core,1.0\n"
         p = tmp_path / "tickets.csv"
         p.write_text(dup)
-        res = ingest_tickets(p)
-        assert any("zero gaps" in note for note in res.notes)
+        with caplog.at_level(logging.WARNING, logger="teamsim.io.tickets"):
+            res = ingest_tickets(p)
+        assert caplog.messages == [f"{p}: incident/P1: dropped 1 zero gaps"]
+        assert res.classes[("incident", "P1")].n == 4
 
 
 class TestSynthetic:
@@ -384,35 +385,36 @@ class TestNothingOutlivesItsRun:
     inside a run, so whatever is held through one adds to it."""
 
     @staticmethod
-    def _watch(monkeypatch, module):
-        # wrap ``module.run_des``, and ``module.run_sd`` where there is one,
-        # so each log and trajectory is weakly referenced; each call first
-        # records which of the earlier ones are gone
+    def _watch(monkeypatch, sd_module=None):
+        # wrap ``teamsim.des.run_des``, which every event-model run goes
+        # through, and ``sd_module.run_sd`` when given, so each log and
+        # trajectory is weakly referenced; each call first records which of
+        # the earlier ones are gone
         refs = []
         starts = []
 
-        def run_des(*args, real=module.run_des, **kwargs):
+        def run_des(*args, real=teamsim.des.run_des, **kwargs):
             starts.append([r() is None for r in refs])
             stats, log = real(*args, **kwargs)
             log = _Log(log)
             refs.append(weakref.ref(log))
             return stats, log
 
-        def run_sd(*args, real=getattr(module, "run_sd", None), **kwargs):
+        def run_sd(*args, real=getattr(sd_module, "run_sd", None), **kwargs):
             starts.append([r() is None for r in refs])
             traj = real(*args, **kwargs)
             refs.append(weakref.ref(traj))
             return traj
 
-        monkeypatch.setattr(module, "run_des", run_des)
-        if hasattr(module, "run_sd"):
-            monkeypatch.setattr(module, "run_sd", run_sd)
+        monkeypatch.setattr(teamsim.des, "run_des", run_des)
+        if sd_module is not None:
+            monkeypatch.setattr(sd_module, "run_sd", run_sd)
         return refs, starts
 
     def test_hybrid_cycle_keeps_no_earlier_log_or_trajectory(self, monkeypatch):
         sc = copy.deepcopy(default_scenario())
         sc.horizon = 30.0
-        refs, starts = self._watch(monkeypatch, teamsim.hybrid)
+        refs, starts = self._watch(monkeypatch, sd_module=teamsim.hybrid)
         sizes = []
         report = run_hybrid(sc, cycles_max=3, tol=1e-12, log_sink=lambda k, log: sizes.append(len(log)))
         assert report.n_cycles == 3 and all(sizes)
@@ -423,7 +425,7 @@ class TestNothingOutlivesItsRun:
 
     def test_replication_keeps_no_earlier_log(self, monkeypatch):
         sc = default_scenario()
-        refs, starts = self._watch(monkeypatch, teamsim.des)
+        refs, starts = self._watch(monkeypatch)
         sizes = []
         run_des_replicated(
             sc.des, seed=sc.seed, horizon=30.0, replications=3,
@@ -487,7 +489,11 @@ class TestEventLogWriters:
     @example(t=1e-05, kind="start", item_id=1, eng_id=0, detail='say "hi"\\')
     @example(t=5e-07, kind="dead_letter", item_id=2, eng_id=-1, detail="ünïcode\x01")
     @example(t=3 / 128, kind="complete", item_id=3, eng_id=7, detail="x")
-    def test_ndjson_line_equals_json_dumps(self, t, kind, item_id, eng_id, detail):
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ndjson_line_equals_json_dumps(self, t, kind, item_id, eng_id, detail, tmp_path):
+        # a one-record log
+        path = tmp_path / "e.ndjson"
+        write_event_log_ndjson([(t, kind, item_id, eng_id, detail)], path)
         expected = json.dumps(
             {
                 "time": float(f"{t:.6f}"),
@@ -498,7 +504,7 @@ class TestEventLogWriters:
             },
             sort_keys=True,
         )
-        assert format_event_ndjson((t, kind, item_id, eng_id, detail)) == expected
+        assert path.read_bytes() == (expected + "\n").encode()
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -547,38 +553,6 @@ class TestEventLogWriters:
         assert (tmp_path / "e.ndjson").read_bytes() == b""
         write_csv(tmp_path / "r.csv", ("a", "b"), [])
         assert (tmp_path / "r.csv").read_text() == "a,b\n"
-
-
-class TestOldReportConverter:
-    def test_old_des_report_converts_to_the_current_files(self, tmp_path):
-        sc = default_scenario()
-        logs = []
-        stats = run_des_replicated(
-            sc.des, seed=sc.seed, horizon=20.0, replications=2,
-            log_sink=lambda k, log: logs.append(log),
-        )
-        logs[0].append((20.0, "dead_letter", 999, -1, "skill,with,commas"))
-        logs.append([])
-        sink = des_log_sink(tmp_path / "new", len(logs))
-        for k, log in enumerate(logs):
-            sink(k, log)
-        new = emit_des_report(stats, tmp_path / "new", log_sink=sink)
-        # the older layout: a team_queue column of zeros, and CSV logs that
-        # carry a header line even when the log is empty
-        old = tmp_path / "old"
-        old.mkdir()
-        (old / "summary.json").write_bytes((tmp_path / "new" / "summary.json").read_bytes())
-        head, *days = (tmp_path / "new" / "queue_lengths.csv").read_text().splitlines()
-        rows = [head.replace("day,", "day,team_queue,")] + [r.replace(",", ",0,", 1) for r in days]
-        (old / "queue_lengths.csv").write_text("".join(r + "\n" for r in rows))
-        for k, log in enumerate(logs):
-            lines = ["time,event_kind,item_id,engineer_id,detail"]
-            lines += [f"{t:.6f},{kind},{item},{eng},{detail}" for t, kind, item, eng, detail in log]
-            (old / f"eventlog_rep{k}.csv").write_text("".join(line + "\n" for line in lines))
-        converted = convert(old, tmp_path / "converted")
-        assert sorted(p.name for p in converted) == sorted(p.name for p in new)
-        for p in new:
-            assert (tmp_path / "converted" / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 class TestScenarioIO:
