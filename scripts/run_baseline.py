@@ -12,7 +12,7 @@ from pathlib import Path
 from teamsim.des import run_des_replicated
 from teamsim.domain import Priority
 from teamsim.io.report import des_log_sink, emit_des_report, emit_sd_report
-from teamsim.io.scenario import default_scenario, load_scenario
+from teamsim.io.scenario import load_scenario
 from teamsim.sd import run_sd
 
 
@@ -24,7 +24,7 @@ def main() -> int:
     ap.add_argument("--out", default="results/baseline")
     args = ap.parse_args()
 
-    sc = default_scenario() if args.scenario == "default" else load_scenario(args.scenario)
+    sc = load_scenario(args.scenario)
     seed = sc.seed if args.seed is None else args.seed
     out = Path(args.out)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from teamsim.domain import Priority
 from teamsim.hybrid import run_hybrid
 from teamsim.io.report import emit_hybrid_report, hybrid_log_sink
-from teamsim.io.scenario import default_scenario, load_scenario
+from teamsim.io.scenario import load_scenario
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--out", default="results/loop_demo")
     args = ap.parse_args()
 
-    sc = default_scenario() if args.scenario == "default" else load_scenario(args.scenario)
+    sc = load_scenario(args.scenario)
     # each cycle's log is written as soon as its event-model run ends
     sink = hybrid_log_sink(Path(args.out))
     report = run_hybrid(sc, cycles_max=args.cycles, seed=args.seed, tol=1e-12, log_sink=sink)

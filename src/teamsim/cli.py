@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .des import run_des_replicated
-from .errors import (
-    ConfigurationError,
-    DataError,
-    EngineError,
-    StructuralError,
-    TeamsimError,
-)
+from .errors import ConfigurationError, DataError, TeamsimError
 from .hybrid import run_hybrid
 from .io.report import (
     des_log_sink,
@@ -30,14 +25,7 @@ from .io.report import (
     hybrid_log_sink,
 )
 from .io.records import read_yaml
-from .io.scenario import (
-    Scenario,
-    apply_env_overrides,
-    default_scenario,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from .io.scenario import load_scenario
 from .io.tickets import generate_synthetic, ingest_tickets, synth_spec_from_dict
 from .sd import run_sd
 
@@ -51,14 +39,6 @@ class _Parser(argparse.ArgumentParser):
     # I/O problems here, so route usage errors through the normal handler
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _load(scenario_arg: str, env=None) -> Scenario:
-    if scenario_arg == "default":
-        doc = scenario_to_dict(default_scenario())
-        doc = apply_env_overrides(doc, env)
-        return scenario_from_dict(doc, name="default-overloaded-team")
-    return load_scenario(scenario_arg, env)
 
 
 def _fmt(x: float) -> str:
@@ -93,7 +73,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_des(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     horizon = scenario.horizon if args.horizon is None else args.horizon
     reps = scenario.replications if args.reps is None else args.reps
@@ -115,7 +95,7 @@ def _cmd_des(args) -> int:
 
 
 def _cmd_sd(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     horizon = scenario.horizon if args.horizon is None else args.horizon
     dt = scenario.dt if args.dt is None else args.dt
     traj = run_sd(scenario.sd_initial, scenario.sd_params, horizon, dt)
@@ -123,7 +103,7 @@ def _cmd_sd(args) -> int:
         for p in emit_sd_report(traj, Path(args.out)):
             print(p)
         return 0
-    final = traj.final_state.as_dict()
+    final = asdict(traj.final_state)
     for k in sorted(final):
         print(f"final.{k}={_fmt(final[k])}")
     print(f"clamp_events={traj.clamp_events}")
@@ -131,7 +111,7 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_hybrid(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     # the sink creates --out before the first cycle and writes each cycle's
     # log as soon as its event-model run ends
     sink = hybrid_log_sink(Path(args.out)) if args.out else None
@@ -161,7 +141,7 @@ def _cmd_hybrid(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     print(f"ok: {scenario.name}")
     return 0
 
@@ -235,11 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as e:
         print(f"i/o error: undecodable input: {e}", file=sys.stderr)
         return 2
-    except (StructuralError, EngineError) as e:
-        print(f"engine error: {e}", file=sys.stderr)
-        return 3
     except TeamsimError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"engine error: {e}", file=sys.stderr)
         return 3
 
 

@@ -2,11 +2,11 @@
 
 Each cycle runs the event model, summarizes its realized rates, calibrates
 the flow model with them (feed-forward), integrates the flow model over
-the same horizon, and converts its pressure and fatigue trajectories into
-service modifiers for the next event-model run (feedback).  Cycle 0 always
-runs with identity modifiers, so it doubles as the uncoupled baseline;
-differences of later cycles against cycle 0 expose the loop's effect on
-each priority class.
+the same horizon, and converts the means of its error, pressure and
+stop-rate trajectories into service modifiers for the next event-model
+run (feedback).  Cycle 0 always runs with identity modifiers, so it
+doubles as the uncoupled baseline; differences of later cycles against
+cycle 0 expose the loop's effect on each priority class.
 
 Seeding: cycle k uses seed + k, so cycles differ only through modifiers
 and the per-cycle stream, and the whole procedure is reproducible from
@@ -95,15 +95,16 @@ def apply_feedforward(params: SdParams, ff: FeedForward, initial: SdState) -> Sd
 
 
 def extract_feedback(
-    traj: SdTrajectory, params: SdParams, interrupt_base_rate: float
+    summary: SdSummary, params: SdParams, interrupt_base_rate: float
 ) -> DesModifiers:
-    """Convert a flow-model trajectory into event-model service modifiers.
+    """Convert a flow-model run's summary into event-model service modifiers.
 
-    Fatigue-driven error inflation maps to the rework multiplier, mean
-    pressure eats capacity (clamped to [0.5, 1]), and the stop-rate ratio
-    scales the management-interruption rate.
+    Reads the summary's means, the figures ``cycles.json`` reports for the
+    cycle: fatigue-driven error inflation maps to the rework multiplier,
+    mean pressure eats capacity (clamped to [0.5, 1]), and the stop-rate
+    ratio scales the management-interruption rate.
     """
-    mean_error = traj.mean("error_frac")
+    mean_error = summary.mean_error_frac
     if params.base_error_frac <= 0.0:
         if mean_error > 1e-12:
             raise ConfigurationError(
@@ -113,9 +114,9 @@ def extract_feedback(
         rework_multiplier = 1.0
     else:
         rework_multiplier = mean_error / params.base_error_frac
-    capacity = min(1.0, max(0.5, 1.0 - params.k_capacity * traj.mean("mgmt_pressure")))
+    capacity = min(1.0, max(0.5, 1.0 - params.k_capacity * summary.mean_mgmt_pressure))
     if params.s_base > 0.0 and interrupt_base_rate > 0.0:
-        interrupt = interrupt_base_rate * (traj.mean("stop_rate") / params.s_base)
+        interrupt = interrupt_base_rate * (summary.mean_stop_rate / params.s_base)
     else:
         interrupt = 0.0
     return DesModifiers(
@@ -197,12 +198,12 @@ def run_hybrid(
         )
         ff = extract_feedforward(stats)
         params_k = apply_feedforward(scenario.sd_params, ff, scenario.sd_initial)
-        traj = run_sd(scenario.sd_initial, params_k, scenario.horizon, scenario.dt)
-        summary = summarize_trajectory(traj)
-        out = extract_feedback(traj, params_k, scenario.des.interrupt_base_rate)
-        # dropped once used, so no trajectory is held through a later run,
-        # where the memory peak comes
-        del traj
+        # the trajectory is dropped once summarized, so none is held through
+        # a later event-model run, where the memory peak comes
+        summary = summarize_trajectory(
+            run_sd(scenario.sd_initial, params_k, scenario.horizon, scenario.dt)
+        )
+        out = extract_feedback(summary, params_k, scenario.des.interrupt_base_rate)
         cycles.append(
             CycleRecord(
                 index=k,

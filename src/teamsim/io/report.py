@@ -110,12 +110,8 @@ def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
     Each line equals ``json.dumps`` of the record with ``sort_keys``: the
     keys are fixed, so the line is an f-string in sorted-key order with
     json's default separators; strings go through the same C escaper that
-    ``json.dumps`` uses, and ``time`` is rounded to 6 decimals.  The time is
-    fixed-point text with trailing zeros stripped on ``1e-4 <= time < 1e9``
-    and ``repr(round(time, 6))`` elsewhere: inside those bounds the two
-    texts agree, below them ``repr`` writes an exponent, and above them the
-    fixed-point text can carry digits ``repr`` drops (see the module
-    docstring).  Event times are finite floats from the engine's clock:
+    ``json.dumps`` uses, and ``time`` is rendered by the rule in the module
+    docstring.  Event times are finite floats from the engine's clock:
     ``repr`` would render ``nan``/``inf`` where json writes
     ``NaN``/``Infinity``.
     """
@@ -200,7 +196,7 @@ def emit_sd_report(traj: SdTrajectory, out_dir: Path) -> list[Path]:
         "steps": len(traj) - 1,
         "dt": traj.dt,
         "clamp_events": traj.clamp_events,
-        "final": traj.final_state.as_dict(),
+        "final": asdict(traj.final_state),
         "mean_fatigue": traj.mean("fatigue"),
         "mean_mgmt_pressure": traj.mean("mgmt_pressure"),
         "mean_error_frac": traj.mean("error_frac"),

@@ -133,9 +133,17 @@ def apply_env_overrides(doc: dict, env: Mapping[str, str] | None = None) -> dict
 
 
 def load_scenario(path: str | Path, env: Mapping[str, str] | None = None) -> Scenario:
-    """Load a YAML scenario, apply environment overrides, and validate."""
-    doc = apply_env_overrides(read_yaml(path), env)
-    return scenario_from_dict(doc, name=Path(path).stem)
+    """Load a scenario, apply environment overrides, and validate.
+
+    ``path`` is a YAML file, or the literal name ``default`` for the
+    built-in scenario, which is written out as a document first, so the
+    ``TEAMSIM_*`` overrides apply to either source the same way.
+    """
+    if path == "default":
+        doc = scenario_to_dict(default_scenario())
+    else:
+        doc = read_yaml(path)
+    return scenario_from_dict(apply_env_overrides(doc, env), name=Path(path).stem)
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

@@ -21,6 +21,7 @@ from ..des import (
     sample_exponential_hours,
     _check_mix,
     _priority_cuts,
+    _priority_index,
     _sample_priority,
 )
 from ..domain import Priority, WorkType
@@ -280,7 +281,7 @@ def generate_synthetic(spec: SynthSpec, seed: int, path: str | Path) -> int:
         t = sample_interarrival(cls.daily_rate, rng)
         while t <= spec.span_days:
             priority = _sample_priority(*cuts, rng)
-            mean = cls.service_mean_hours[int(Priority.P1) - int(priority)]
+            mean = cls.service_mean_hours[_priority_index(priority)]
             touch = sample_exponential_hours(mean, rng)
             rows.append((start + timedelta(days=t), cls.work_type, priority.name, touch))
             t += sample_interarrival(cls.daily_rate, rng)

@@ -48,8 +48,23 @@ class SdState:
             if not math.isfinite(v) or v < 0.0:
                 raise ConfigurationError(f"state field {f.name} must be finite and >= 0, got {v}")
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+# the SdParams fields that must be > 0: completion times, efforts, time
+# constants, and the references that pressure and gaps are divided by
+_POSITIVE = frozenset(
+    {
+        "project_completion_days",
+        "ops_completion_days",
+        "project_effort_hours",
+        "ops_effort_hours",
+        "desired_backlog",
+        "tau_fatigue",
+        "tau_mgmt",
+        "tau_rework",
+        "quality_target",
+        "target_cycle_time_days",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -86,44 +101,17 @@ class SdParams:
     rework_inflow: float = 0.0  # exogenous incidents/day entering the rework pool
 
     def validate(self) -> None:
-        positive = (
-            "project_completion_days",
-            "ops_completion_days",
-            "project_effort_hours",
-            "ops_effort_hours",
-            "desired_backlog",
-            "tau_fatigue",
-            "tau_mgmt",
-            "tau_rework",
-            "quality_target",
-            "target_cycle_time_days",
-        )
-        nonnegative = (
-            "project_arrivals",
-            "ops_arrivals",
-            "team_capacity_hours",
-            "s_base",
-            "g_mgmt",
-            "k_pressure_stop",
-            "k_assist",
-            "k_switch",
-            "k_fatigue_prod",
-            "k_fatigue_error",
-            "k_capacity",
-            "rework_inflow",
-        )
-        for name in positive:
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ConfigurationError(f"parameter {name} must be finite and > 0, got {v}")
-        for name in nonnegative:
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ConfigurationError(f"parameter {name} must be finite and >= 0, got {v}")
-        if not 0.0 <= self.base_error_frac < 1.0:
-            raise ConfigurationError(
-                f"base_error_frac must lie in [0, 1), got {self.base_error_frac}"
-            )
+        """Every field finite: base_error_frac in [0, 1), a ``_POSITIVE`` field > 0, the rest >= 0."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "base_error_frac":
+                if not 0.0 <= v < 1.0:
+                    raise ConfigurationError(f"base_error_frac must lie in [0, 1), got {v}")
+            elif f.name in _POSITIVE:
+                if not math.isfinite(v) or v <= 0.0:
+                    raise ConfigurationError(f"parameter {f.name} must be finite and > 0, got {v}")
+            elif not math.isfinite(v) or v < 0.0:
+                raise ConfigurationError(f"parameter {f.name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -145,11 +133,12 @@ _STATE_FIELDS = tuple(f.name for f in fields(SdState))
 _AUX_FIELDS = tuple(f.name for f in fields(SdAux))
 _state_values = attrgetter(*_STATE_FIELDS)
 
-# The model equations, written once on plain floats.  ``auxiliaries``,
-# ``sd_step`` and ``run_sd`` all evaluate them here; the dataclasses are
-# only the public faces of the tuples these functions pass around, which
-# hold the fields in SdState and SdAux order.  The comparisons written out
-# pick the value ``max(c, x)`` and ``min(x, c)`` return, NaN included.
+# The model equations, written once on plain floats.  ``run_sd`` steps on
+# tuples that hold the fields in SdState and SdAux order and keeps them as
+# the trajectory's columns; ``auxiliaries`` and ``sd_step`` wrap the same
+# functions for one SdState, as the per-equation tests call them.  The
+# comparisons written out pick the value ``max(c, x)`` and ``min(x, c)``
+# return, NaN included.
 
 
 def _aux_values(state: tuple[float, ...], params: SdParams) -> tuple[float, ...]:
@@ -268,11 +257,10 @@ def sd_step(state: SdState, params: SdParams, dt: float) -> SdState:
 class SdTrajectory:
     """Recorded run: state and auxiliaries at t = 0, dt, 2 dt, ...
 
-    Stored by column: ``columns`` maps every SdState and SdAux field name
-    to its value at each recorded time, in the order of ``times``;
-    ``column`` returns a copy of one.  ``states``, ``aux`` and
-    ``final_state`` build the dataclasses from the columns on each access,
-    for callers that want whole records.
+    Stored by column, and read by column: ``columns`` maps every SdState
+    and SdAux field name, in that order, to its value at each recorded
+    time, in the order of ``times``; ``mean`` averages one column, and
+    ``final_state`` builds the last recorded state.
     """
 
     dt: float
@@ -284,29 +272,15 @@ class SdTrajectory:
         return len(self.times)
 
     @property
-    def states(self) -> list[SdState]:
-        return [SdState(*row) for row in zip(*(self.columns[n] for n in _STATE_FIELDS))]
-
-    @property
-    def aux(self) -> list[SdAux]:
-        return [SdAux(*row) for row in zip(*(self.columns[n] for n in _AUX_FIELDS))]
-
-    @property
     def final_state(self) -> SdState:
         return SdState(*(self.columns[n][-1] for n in _STATE_FIELDS))
 
-    def column(self, name: str) -> list[float]:
-        return list(self._column(name))
-
     def mean(self, name: str) -> float:
-        col = self._column(name)
-        return math.fsum(col) / len(col)
-
-    def _column(self, name: str) -> list[float]:
         try:
-            return self.columns[name]
+            col = self.columns[name]
         except KeyError:
             raise ConfigurationError(f"unknown trajectory column {name!r}") from None
+        return math.fsum(col) / len(col)
 
 
 def _check_finite(state: tuple[float, ...], aux: tuple[float, ...], t: float) -> None:

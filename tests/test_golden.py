@@ -16,7 +16,7 @@ algorithm changed in Python 3.12, so they may differ elsewhere.
 """
 import hashlib
 import json
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -32,7 +32,7 @@ from teamsim.io.report import (
 )
 from teamsim.io.scenario import default_scenario
 from teamsim.io.tickets import SynthClass, SynthSpec, generate_synthetic, ingest_tickets
-from teamsim.sd import run_sd
+from teamsim.sd import SdState, run_sd
 
 from conftest import mmc_config, two_skill_config
 
@@ -119,9 +119,11 @@ def _digest(name: str, tmp_path) -> str:
     if name == "sd-default":
         sc = default_scenario()
         traj = run_sd(sc.sd_initial, sc.sd_params, sc.horizon, sc.dt)
+        # each row: time, then the state fields, then the auxiliaries
+        n_state = len(fields(SdState))
         rows = [
-            _exact([t, astuple(s), astuple(a)])
-            for t, s, a in zip(traj.times, traj.states, traj.aux)
+            _exact([t, row[:n_state], row[n_state:]])
+            for t, *row in zip(traj.times, *traj.columns.values())
         ]
         return _sha(rows + [str(traj.clamp_events)])
     if name == "sd-report":

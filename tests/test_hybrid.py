@@ -1,7 +1,7 @@
 """Coupling-layer tests: rate extraction, calibration arithmetic, the
 cycle loop, and the identity fixed point."""
 import copy
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +10,7 @@ from teamsim.domain import Priority
 from teamsim.errors import ConfigurationError
 from teamsim.hybrid import (
     FeedForward,
+    SdSummary,
     apply_feedforward,
     extract_feedback,
     extract_feedforward,
@@ -17,25 +18,20 @@ from teamsim.hybrid import (
     run_hybrid,
 )
 from teamsim.io.scenario import default_scenario
-from teamsim.sd import SdAux, SdState, SdTrajectory
+from teamsim.sd import SdState
 
 from conftest import mm1_config
 
-SD_COLUMNS = [f.name for f in fields(SdState)] + [f.name for f in fields(SdAux)]
 
-
-def synthetic_trajectory(n, error_frac, mgmt_pressure, stop_rate):
-    """Trajectory stub with constant columns; only the columns the
-    feedback extraction reads are meaningful."""
-    columns = {name: [0.0] * n for name in SD_COLUMNS}
-    columns.update(
-        mgmt_pressure=[mgmt_pressure] * n,
-        stop_rate=[stop_rate] * n,
-        error_frac=[error_frac] * n,
-        work_pressure=[1.0] * n,
-        productivity=[1.0] * n,
+def sd_summary(error_frac, mgmt_pressure, stop_rate):
+    """A flow-model summary with the three means the feedback reads."""
+    return SdSummary(
+        mean_fatigue=0.0,
+        mean_mgmt_pressure=mgmt_pressure,
+        mean_stop_rate=stop_rate,
+        mean_error_frac=error_frac,
+        final_error_frac=error_frac,
     )
-    return SdTrajectory(dt=0.25, times=[0.25 * i for i in range(n)], columns=columns)
 
 
 def zero_gain_scenario():
@@ -113,8 +109,8 @@ class TestExtractFeedback:
     def test_known_ratios(self):
         sc = default_scenario()
         params = replace(sc.sd_params, base_error_frac=0.05, k_capacity=0.3, s_base=0.05)
-        traj = synthetic_trajectory(5, error_frac=0.1, mgmt_pressure=1.0, stop_rate=0.08)
-        mods = extract_feedback(traj, params, interrupt_base_rate=0.5)
+        summary = sd_summary(error_frac=0.1, mgmt_pressure=1.0, stop_rate=0.08)
+        mods = extract_feedback(summary, params, interrupt_base_rate=0.5)
         assert mods.rework_multiplier == pytest.approx(2.0)
         assert mods.capacity_factor == pytest.approx(0.7)
         assert mods.interrupt_rate == pytest.approx(0.5 * 0.08 / 0.05)
@@ -122,23 +118,23 @@ class TestExtractFeedback:
     def test_capacity_floor(self):
         sc = default_scenario()
         params = replace(sc.sd_params, k_capacity=0.9)
-        traj = synthetic_trajectory(5, error_frac=0.05, mgmt_pressure=3.0, stop_rate=0.05)
-        mods = extract_feedback(traj, params, interrupt_base_rate=0.0)
+        summary = sd_summary(error_frac=0.05, mgmt_pressure=3.0, stop_rate=0.05)
+        mods = extract_feedback(summary, params, interrupt_base_rate=0.0)
         assert mods.capacity_factor == 0.5
 
     def test_quiet_trajectory_maps_to_identity(self):
         sc = default_scenario()
         params = replace(sc.sd_params, base_error_frac=0.05, k_capacity=0.2, s_base=0.05)
-        traj = synthetic_trajectory(5, error_frac=0.05, mgmt_pressure=0.0, stop_rate=0.05)
-        mods = extract_feedback(traj, params, interrupt_base_rate=0.0)
+        summary = sd_summary(error_frac=0.05, mgmt_pressure=0.0, stop_rate=0.05)
+        mods = extract_feedback(summary, params, interrupt_base_rate=0.0)
         assert mods == DesModifiers(1.0, 1.0, 0.5 * 0.0)
 
     def test_zero_base_error_with_nonzero_mean_is_an_error(self):
         sc = default_scenario()
         params = replace(sc.sd_params, base_error_frac=0.0)
-        traj = synthetic_trajectory(5, error_frac=0.1, mgmt_pressure=0.0, stop_rate=0.0)
+        summary = sd_summary(error_frac=0.1, mgmt_pressure=0.0, stop_rate=0.0)
         with pytest.raises(ConfigurationError):
-            extract_feedback(traj, params, interrupt_base_rate=0.0)
+            extract_feedback(summary, params, interrupt_base_rate=0.0)
 
 
 class TestModifierChange:
@@ -195,6 +191,17 @@ class TestRunHybrid:
         for rec, log in zip(report.cycles, logs, strict=True):
             _, solo = run_des(sc.des, seed=sc.seed + rec.index, horizon=sc.horizon)
             assert log == solo
+
+    def test_reported_summary_is_the_one_fed_back(self):
+        # cycles.json reports each cycle's sd_summary, and the cycle's
+        # modifiers come from exactly that summary
+        sc = default_scenario()
+        report = run_hybrid(sc, cycles_max=3, tol=1e-12)
+        assert report.n_cycles == 3
+        for rec in report.cycles:
+            params = apply_feedforward(sc.sd_params, rec.feed_forward, sc.sd_initial)
+            fed_back = extract_feedback(rec.sd_summary, params, sc.des.interrupt_base_rate)
+            assert fed_back == rec.modifiers_out
 
     def test_rejects_bad_cycle_count_and_tol(self):
         sc = default_scenario()

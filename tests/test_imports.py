@@ -81,3 +81,17 @@ def test_each_name_has_one_import_path():
     expected = {"src/teamsim/__init__.py": {"__version__"}, "src/teamsim/io/__init__.py": set()}
     bound = {rel: _bound(ast.parse((ROOT / rel).read_text())) for rel in expected}
     assert bound == expected
+
+
+def test_scenarios_load_through_one_loader():
+    # the CLI and the scripts take nothing but load_scenario from the
+    # scenario module, so no second way to load 'default' grows back
+    paths = [ROOT / "src/teamsim/cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+    taken = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("io.scenario"):
+                taken.setdefault(path.relative_to(ROOT).as_posix(), set()).update(
+                    alias.name for alias in node.names
+                )
+    assert taken == {path.relative_to(ROOT).as_posix(): {"load_scenario"} for path in paths}

@@ -9,15 +9,26 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def _run(script, args, monkeypatch):
+    spec = importlib.util.spec_from_file_location(script[:-3], SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    return module.main()
+
+
 @pytest.mark.parametrize(
     "script, args", [("run_baseline.py", ["--reps", "2"]), ("run_loop_demo.py", ["--cycles", "2"])]
 )
 def test_script_writes_the_files_it_counts(script, args, tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(script[:-3], SCRIPTS / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [script, *args, "--out", str(tmp_path)])
-    assert module.main() == 0
+    assert _run(script, [*args, "--out", str(tmp_path)], monkeypatch) == 0
     printed = re.search(r"wrote (\d+) files under", capsys.readouterr().out)
     on_disk = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert int(printed.group(1)) == len(on_disk) > 0
+
+
+def test_env_overrides_apply_to_the_default_scenario(tmp_path, monkeypatch, capsys):
+    # the scripts load 'default' as the CLI does, TEAMSIM_* overrides included
+    monkeypatch.setenv("TEAMSIM_SEED", "7")
+    assert _run("run_baseline.py", ["--reps", "1", "--out", str(tmp_path)], monkeypatch) == 0
+    assert "seed 7 ==" in capsys.readouterr().out

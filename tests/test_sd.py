@@ -21,6 +21,7 @@ from teamsim.sd import (
     _EPS,
     MAX_SD_STEPS,
     _ERROR_CAP,
+    _POSITIVE,
     _PROD_FLOOR,
     SdAux,
     SdParams,
@@ -116,6 +117,18 @@ class TestValidation:
         ]:
             with pytest.raises(ConfigurationError):
                 busy_params(**{field: value}).validate()
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SdParams)])
+    def test_every_param_is_bounded(self, name):
+        # validate reads the declared fields, so a field added later is
+        # checked without being listed
+        bad = [float("nan"), -1.0] + ([0.0] if name in _POSITIVE else [])
+        for value in bad:
+            with pytest.raises(ConfigurationError, match=name):
+                busy_params(**{name: value}).validate()
+
+    def test_positive_set_names_declared_fields(self):
+        assert _POSITIVE <= {f.name for f in dataclasses.fields(SdParams)}
 
     def test_step_rejects_bad_dt(self):
         for dt in (0.0, -0.5, float("inf")):
@@ -274,7 +287,7 @@ class TestTrajectories:
         assert traj.clamp_events == 0
         np.testing.assert_allclose(got, exact, rtol=5e-4)
         # the regime assumption: backlog never came near exhaustion
-        assert min(s.ops_backlog for s in traj.states) > 1.0
+        assert min(traj.columns["ops_backlog"]) > 1.0
 
     def test_halving_dt_barely_moves_the_answer(self):
         coarse = run_sd(BUSY_INIT, busy_params(), 126.0, 0.25).final_state
@@ -287,9 +300,9 @@ class TestTrajectories:
         # arrivals far beyond capacity: work pressure and fatigue must rise
         params = busy_params(project_arrivals=6.0, ops_arrivals=8.0)
         traj = run_sd(BUSY_INIT, params, 126.0, 0.25)
-        wp = traj.column("work_pressure")
+        wp = traj.columns["work_pressure"]
         assert wp[-1] > wp[0]
-        fat = traj.column("fatigue")
+        fat = traj.columns["fatigue"]
         assert all(b >= a - 1e-12 for a, b in zip(fat, fat[1:]))
         assert traj.final_state.fatigue > 0.5
 
@@ -316,8 +329,6 @@ class TestTrajectories:
 
     def test_column_lookup_rejects_unknown_name(self):
         traj = run_sd(BUSY_INIT, busy_params(), 2.0, 0.25)
-        with pytest.raises(ConfigurationError):
-            traj.column("throughput")
         with pytest.raises(ConfigurationError):
             traj.mean("throughput")
 
@@ -366,9 +377,8 @@ def test_stocks_stay_nonnegative(arrivals, capacity, s_base, k_fe, backlog0, dt)
     )
     init = SdState(project_backlog=backlog0, ops_backlog=backlog0, project_wip=3.0, ops_wip=3.0)
     traj = run_sd(init, params, horizon=30.0, dt=dt)
-    for state in traj.states:
-        for f in dataclasses.fields(state):
-            assert getattr(state, f.name) >= 0.0
+    for f in dataclasses.fields(SdState):
+        assert all(v >= 0.0 for v in traj.columns[f.name])
 
 
 @settings(max_examples=20, deadline=None)
@@ -553,10 +563,10 @@ def test_float_kernel_matches_object_reference(state, params, dt):
     assert traj.times == times
     assert traj.clamp_events == clamps
     for f in dataclasses.fields(SdState):
-        assert _bits(traj.column(f.name)) == _bits(getattr(x, f.name) for x in states)
+        assert _bits(traj.columns[f.name]) == _bits(getattr(x, f.name) for x in states)
     for f in dataclasses.fields(SdAux):
-        assert _bits(traj.column(f.name)) == _bits(getattr(x, f.name) for x in auxes)
-    assert traj.final_state == states[-1] and traj.states == states and traj.aux == auxes
+        assert _bits(traj.columns[f.name]) == _bits(getattr(x, f.name) for x in auxes)
+    assert traj.final_state == states[-1]
 
 
 def test_clamping_example_clamps():
