@@ -7,6 +7,8 @@ per-priority service figures and final stocks, and writes full reports.
     python scripts/run_baseline.py --reps 5 --out results/baseline
 """
 import argparse
+import os
+import sys
 from pathlib import Path
 
 from teamsim.des import run_des_replicated
@@ -57,4 +59,14 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+    except OSError as e:
+        # as in the CLI: an unwritable --out or a closed stdout exits 2
+        print(f"i/o error: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            # send stdout to /dev/null, so exiting does not retry the write
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)

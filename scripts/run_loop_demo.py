@@ -10,6 +10,8 @@ in completed low-priority items.
     python scripts/run_loop_demo.py --cycles 3 --out results/loop_demo
 """
 import argparse
+import os
+import sys
 from pathlib import Path
 
 from teamsim.domain import Priority
@@ -58,4 +60,14 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+    except OSError as e:
+        # as in the CLI: an unwritable --out or a closed stdout exits 2
+        print(f"i/o error: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            # send stdout to /dev/null, so exiting does not retry the write
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)

@@ -36,7 +36,6 @@ from .domain import (
     WorkItem,
     WorkType,
     queue_key,
-    trusted_item,
     WorkQueue,
 )
 from .errors import ConfigurationError, StructuralError
@@ -221,25 +220,22 @@ class ArrivalPlan:
         service = sample_exponential_hours(self.means[priority], rng)
         # validation made every drawable mean positive and finite, so the
         # demand is positive; now >= 0 is the engine's clock
-        return trusted_item(item_id, self.work_type, priority, required, service, now)
+        return WorkItem(item_id, self.work_type, priority, required, service, now)
 
 
 @dataclass(frozen=True)
 class DesModifiers:
     """Knobs a coupled model can turn between replications.
 
-    The identity element leaves the engine exactly as an uncoupled run:
-    no interrupt events are scheduled at rate 0, and no extra random draws
-    are consumed, so runs are byte-identical to baseline.
+    The defaults, ``DesModifiers()``, are the identity: they leave the
+    engine exactly as an uncoupled run.  No interrupt events are scheduled
+    at rate 0, and no extra random draws are consumed, so runs are
+    byte-identical to baseline.
     """
 
     rework_multiplier: float = 1.0
     capacity_factor: float = 1.0
     interrupt_rate: float = 0.0  # management interruptions per engineer per busy day
-
-    @classmethod
-    def identity(cls) -> "DesModifiers":
-        return cls()
 
     def validate(self) -> None:
         if self.rework_multiplier < 0.0 or not math.isfinite(self.rework_multiplier):
@@ -634,6 +630,15 @@ class DesEngine:
 
         config.validate()
         modifiers.validate()
+        initial_items = initial_items or []
+        ids = [i.id for i in initial_items]
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError("initial items must have distinct ids")
+        for i in initial_items:
+            if i.arrival_time != 0.0:
+                raise ConfigurationError("initial items must carry arrival_time 0")
+            if not 0.0 < i.service_demand_hours < math.inf:  # false for NaN too
+                raise ConfigurationError(f"initial item {i.id}: demand must be positive and finite")
         # checks the horizon with des_day_count before any series is allocated
         self.stats = DesStats(horizon)
         self.cfg = config
@@ -657,8 +662,13 @@ class DesEngine:
         self._queue_counts = [srv.queue.priority_counts for srv in self.servers]
         self.plans = [ArrivalPlan(gen) for gen in config.generators]
         self._rework_cuts = _priority_cuts(config.rework_priority_mix)
-        self.initial_items = list(initial_items) if initial_items else []
-        self._id_counter = 0
+        # copies, so a run leaves the caller's items as they were
+        self.initial_items = [
+            WorkItem(i.id, i.work_type, i.priority, i.required, i.service_demand_hours, 0.0)
+            for i in initial_items
+        ]
+        # generated ids follow the largest initial id, so no two items share one
+        self._id_counter = max([0, *ids])
         self.n_in_system = 0
         self.n_busy = 0
         self.next_sample_day = 1
@@ -743,7 +753,7 @@ class DesEngine:
         priority = _sample_priority(*self._rework_cuts, self.rng)
         # the mean is validated positive and finite, so the demand is positive
         service = sample_exponential_hours(cfg.rework_service_mean_hours, self.rng)
-        incident = trusted_item(
+        incident = WorkItem(
             self._next_id(), WorkType.REWORK_INCIDENT, priority, item.required, service, t
         )
         self.stats.rework_count += 1
@@ -853,11 +863,7 @@ class DesEngine:
 
     # -- main loop ----------------------------------------------------------------
     def run(self) -> DesStats:
-        if len({item.id for item in self.initial_items}) != len(self.initial_items):
-            raise ConfigurationError("initial items must have distinct ids")
         for item in self.initial_items:
-            if item.arrival_time != 0.0:
-                raise ConfigurationError("initial items must carry arrival_time 0")
             self._admit(item, 0.0, "arrival", -1, "initial")
         if self.initial_items:
             # the whole batch arrives at once: route it in discipline order
@@ -929,10 +935,13 @@ def run_des(
 ) -> tuple[DesStats, list[EventRecord]]:
     """Run one replication; returns (stats, event log).
 
-    The log is empty when ``collect_log`` is False.  Identical arguments
+    The log is empty when ``collect_log`` is False.  Each of the
+    ``initial_items`` must have ``arrival_time`` 0, a distinct id and a
+    positive, finite demand; the run works on copies of them, and numbers
+    its own items after the largest initial id.  Identical arguments
     produce identical stats and logs; the seed is the only randomness.
     """
-    engine = DesEngine(config, modifiers or DesModifiers.identity(), seed, horizon,
+    engine = DesEngine(config, modifiers or DesModifiers(), seed, horizon,
                        collect_log=collect_log, initial_items=initial_items)
     stats = engine.run()
     return stats, (engine.log if engine.log is not None else [])

@@ -13,7 +13,7 @@ work-hours and converted by the engine via its hours-per-day setting.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .errors import ConfigurationError, StructuralError
@@ -96,68 +96,39 @@ class SkillSpec:
             )
 
 
-@dataclass(slots=True)
 class WorkItem:
     """One unit of demand flowing through the system.
 
-    ``remaining_service_hours`` is the remaining work content; it shrinks
-    as service is delivered and grows by the switch penalty when service is
-    interrupted.  ``total_queue_days`` sums the lengths of the closed queue
-    episodes, left to right in the order they closed.  ``WorkQueue`` opens
-    and closes the episodes.
+    ``remaining_service_hours`` is the remaining work content: it starts at
+    the demand, shrinks as service is delivered and grows by the switch
+    penalty when service is interrupted.  ``total_queue_days`` sums the
+    lengths of the closed queue episodes, left to right in the order they
+    closed.  ``WorkQueue`` opens and closes the episodes.
+
+    The constructor checks nothing: ``DesEngine`` checks the initial items
+    a caller hands it, and its own items are valid by construction.
     """
 
-    id: int
-    work_type: WorkType
-    priority: Priority
-    required: SkillSpec
-    service_demand_hours: float
-    arrival_time: float
-    remaining_service_hours: float = field(default=-1.0)
-    total_queue_days: float = 0.0
-    _queue_entered: float | None = field(default=None, repr=False)
+    __slots__ = (
+        "id", "work_type", "priority", "required", "service_demand_hours", "arrival_time",
+        "remaining_service_hours", "total_queue_days", "_queue_entered",
+    )
 
-    def __post_init__(self) -> None:
-        if self.service_demand_hours <= 0.0:
-            raise ConfigurationError(
-                f"item {self.id}: service demand must be positive, got {self.service_demand_hours}"
-            )
-        if self.arrival_time < 0.0:
-            raise ConfigurationError(f"item {self.id}: negative arrival time")
-        if self.remaining_service_hours < 0.0:
-            self.remaining_service_hours = self.service_demand_hours
+    def __init__(self, id: int, work_type: WorkType, priority: Priority, required: SkillSpec,
+                 service_demand_hours: float, arrival_time: float) -> None:
+        self.id = id
+        self.work_type = work_type
+        self.priority = priority
+        self.required = required
+        self.service_demand_hours = service_demand_hours
+        self.arrival_time = arrival_time
+        self.remaining_service_hours = service_demand_hours
+        self.total_queue_days = 0.0
+        self._queue_entered: float | None = None
 
     @property
     def in_queue(self) -> bool:
         return self._queue_entered is not None
-
-
-def trusted_item(
-    item_id: int,
-    work_type: WorkType,
-    priority: Priority,
-    required: SkillSpec,
-    service_demand_hours: float,
-    arrival_time: float,
-) -> WorkItem:
-    """A fresh ``WorkItem`` built without re-running ``__post_init__``.
-
-    For callers whose values already meet its checks: a strictly positive
-    demand and a non-negative arrival time.  The engine's sampled items do,
-    because their service means are validated positive and finite with the
-    config, and every exponential draw is ``-log(u) * mean`` with ``0 < u < 1``.
-    """
-    item = object.__new__(WorkItem)
-    item.id = item_id
-    item.work_type = work_type
-    item.priority = priority
-    item.required = required
-    item.service_demand_hours = service_demand_hours
-    item.arrival_time = arrival_time
-    item.remaining_service_hours = service_demand_hours
-    item.total_queue_days = 0.0
-    item._queue_entered = None
-    return item
 
 
 @dataclass
@@ -192,29 +163,29 @@ def _close_episode(item: WorkItem, now: float) -> None:
 
 
 class WorkQueue:
-    """Priority-then-FIFO queue with a front slot and lazy deletion.
+    """Priority-then-FIFO queue with a front slot.
 
     Duplicate pushes of the same item id raise ``StructuralError``.  Entries
     are ``(-priority, arrival_time, id, item)``, ``queue_key(item)`` followed
     by the item, so the unique id settles every comparison between two
-    items before the item itself is reached.  ``size`` (the number of
-    live items) and ``priority_counts`` (live items per priority, indexed by
-    ``int(priority)``) are kept eagerly as plain attributes, so the engine
-    reads them without a call; callers must not write them.
+    items before the item itself is reached, and the pop order depends on
+    the keys alone.  ``size`` (the number of items) and ``priority_counts``
+    (items per priority, indexed by ``int(priority)``) are kept eagerly as
+    plain attributes, so the engine reads them without a call; callers must
+    not write them.
 
     The most recently pushed entry waits in a one-entry front slot outside
     the heap; the next push moves it into the heap.  ``pop_best`` takes the
     better of the front and the heap top with one ``heappushpop``, which
     leaves the heap untouched when the front wins: an item that an engineer
     puts back and takes straight up again (an interrupt, a preemption)
-    costs one comparison however deep the queue.  Removing the front item
-    empties the slot.  An item removed from the heap stays there as a
-    tombstone until it reaches the top; ``_removed`` counts the tombstones
-    per id, because a removed item can come back and be removed again
-    before its first tombstone surfaces.
+    costs one comparison however deep the queue.  ``remove`` takes its item
+    out at once: the front item empties the slot and the heap top is popped,
+    both cheap, and any other item costs a rebuild of the heap.  The engine
+    only ever removes the item that ``peek`` has just returned.
     """
 
-    __slots__ = ("name", "size", "priority_counts", "_front", "_heap", "_index", "_removed")
+    __slots__ = ("name", "size", "priority_counts", "_front", "_heap", "_index")
 
     def __init__(self, name: str = "queue") -> None:
         self.name = name
@@ -223,7 +194,6 @@ class WorkQueue:
         self._front: tuple[int, float, int, WorkItem] | None = None
         self._heap: list[tuple[int, float, int, WorkItem]] = []
         self._index: dict[int, WorkItem] = {}
-        self._removed: dict[int, int] = {}
 
     def __len__(self) -> int:
         return self.size
@@ -245,23 +215,7 @@ class WorkQueue:
             heapq.heappush(self._heap, self._front)
         self._front = (-item.priority, item.arrival_time, item.id, item)
 
-    def _discard_tombstones(self) -> None:
-        heap = self._heap
-        removed = self._removed
-        while heap:
-            item_id = heap[0][2]
-            n = removed.get(item_id)
-            if n is None:
-                return
-            if n == 1:
-                del removed[item_id]
-            else:
-                removed[item_id] = n - 1
-            heapq.heappop(heap)
-
     def peek(self) -> WorkItem | None:
-        if self._removed:
-            self._discard_tombstones()
         front = self._front
         heap = self._heap
         if heap and (front is None or heap[0] < front):
@@ -269,8 +223,6 @@ class WorkQueue:
         return front[3] if front is not None else None
 
     def pop_best(self, now: float) -> WorkItem | None:
-        if self._removed:
-            self._discard_tombstones()
         front = self._front
         if front is not None:
             self._front = None
@@ -286,20 +238,24 @@ class WorkQueue:
         return item
 
     def remove(self, item_id: int, now: float) -> WorkItem:
-        """Take a specific item out of the middle of the queue."""
+        """Take out the item with id ``item_id``, wherever it waits."""
         item = self._index.pop(item_id, None)
         if item is None:
             raise StructuralError(f"{self.name}: remove of absent item {item_id}")
         front = self._front
+        heap = self._heap
         if front is not None and front[2] == item_id:
             self._front = None
+        elif heap[0][2] == item_id:
+            heapq.heappop(heap)
         else:
-            self._removed[item_id] = self._removed.get(item_id, 0) + 1
+            heap[:] = [entry for entry in heap if entry[2] != item_id]
+            heapq.heapify(heap)
         self.priority_counts[item.priority] -= 1
         self.size -= 1
         _close_episode(item, now)
         return item
 
     def items(self) -> list[WorkItem]:
-        """Live items in no particular order (for audits, not dispatch)."""
+        """Queued items in no particular order (for audits, not dispatch)."""
         return list(self._index.values())

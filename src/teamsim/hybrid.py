@@ -184,7 +184,7 @@ def run_hybrid(
     )
     scenario.validate()
 
-    modifiers = DesModifiers.identity()
+    modifiers = DesModifiers()
     cycles: list[CycleRecord] = []
     converged = False
     for k in range(scenario.cycles_max):

@@ -254,7 +254,7 @@ def test_c7_zero_gain_identity_fixed_point():
     sc = zero_gain_scenario()
     logs = []
     report = run_hybrid(sc, cycles_max=3, tol=1e-12, log_sink=lambda k, log: logs.append(log))
-    identity = all(rec.modifiers_out == DesModifiers.identity() for rec in report.cycles)
+    identity = all(rec.modifiers_out == DesModifiers() for rec in report.cycles)
     matches = True
     # strict: a cycle whose log never reached the sink fails the check
     for rec, log in zip(report.cycles, logs, strict=True):

@@ -31,7 +31,7 @@ from teamsim.des import (
     sample_exponential_hours,
     sample_interarrival,
 )
-from teamsim.domain import Affinity, Engineer, Priority, SkillSpec, WorkItem, WorkType
+from teamsim.domain import Affinity, Engineer, Priority, SkillSpec, WorkItem, WorkQueue, WorkType
 from teamsim.errors import ConfigurationError, StructuralError
 from teamsim.io.scenario import default_scenario
 
@@ -332,10 +332,38 @@ class TestSingleItemArithmetic:
         with pytest.raises(ConfigurationError):
             run_des(quiet_config(), seed=1, horizon=5.0, initial_items=[bad])
 
+    @pytest.mark.parametrize("demand", [0.0, -1.0, math.nan, math.inf])
+    def test_initial_item_with_bad_demand_rejected(self, demand):
+        # NaN fails every comparison, and an infinite demand would hold its engineer forever
+        with pytest.raises(ConfigurationError, match="demand must be positive and finite"):
+            run_des(quiet_config(), seed=1, horizon=5.0, initial_items=[make_initial(0, demand)])
+
     def test_initial_items_with_duplicate_ids_rejected(self):
         items = [make_initial(0, 4.0), make_initial(0, 4.0)]
         with pytest.raises(ConfigurationError):
             run_des(single_class_config(n_engineers=2), seed=1, horizon=5.0, initial_items=items)
+
+    @pytest.mark.parametrize("ids", [[1, 2], [5], [-3, 0]], ids=["1-2", "5", "nonpositive"])
+    def test_generated_ids_follow_the_initial_ones(self, ids):
+        cfg = single_class_config(n_engineers=2, daily_rate=3.0)
+        items = [make_initial(i, 8.0) for i in ids]
+        _, log = run_des(cfg, seed=1, horizon=20.0, initial_items=items)
+        entered = [rec[2] for rec in log if rec[1] in ("arrival", "incident")]
+        assert len(set(entered)) == len(entered) > len(ids)
+        assert entered[: len(ids)] == ids
+        assert entered[len(ids)] == max([0, *ids]) + 1
+
+    def test_a_run_leaves_the_callers_items_as_they_were(self):
+        # at the horizon one item is in service and one still queued
+        items = [make_initial(0, 8.0), make_initial(1, 8.0, Priority.P1), make_initial(2, 8.0)]
+        first = run_des(quiet_config(), seed=1, horizon=1.5, initial_items=items)
+        for item in items:
+            assert not item.in_queue and item.total_queue_days == 0.0
+            assert item.remaining_service_hours == item.service_demand_hours
+        second = run_des(quiet_config(), seed=1, horizon=1.5, initial_items=items)
+        assert first[1] == second[1]
+        assert first[0].to_flat_dict() == second[0].to_flat_dict()
+        assert first[0].final_in_queue and first[0].final_in_service
 
     def test_two_items_serve_priority_first(self):
         items = [
@@ -541,7 +569,7 @@ class TestRunProperties:
     def test_identity_modifiers_change_nothing(self):
         cfg = mm1_config()
         _, l1 = run_des(cfg, seed=7, horizon=300.0)
-        _, l2 = run_des(cfg, modifiers=DesModifiers.identity(), seed=7, horizon=300.0)
+        _, l2 = run_des(cfg, modifiers=DesModifiers(), seed=7, horizon=300.0)
         assert l1 == l2
 
     def test_zero_rate_generator_produces_nothing(self):
@@ -667,17 +695,48 @@ class TestWorkConservingDispatch:
 
     def test_default_scenario(self):
         sc = default_scenario()
-        stats = self._run(sc.des, DesModifiers.identity(), sc.seed, sc.horizon)
+        stats = self._run(sc.des, DesModifiers(), sc.seed, sc.horizon)
         assert stats.preemption_count > 0 and stats.stop_skill > 0
 
     def test_mmc4(self):
-        self._run(mmc_config(4, 3.2), DesModifiers.identity(), seed=4, horizon=500.0)
+        self._run(mmc_config(4, 3.2), DesModifiers(), seed=4, horizon=500.0)
 
     def test_two_skill_types_with_interrupts_and_preemption(self):
         mods = DesModifiers(rework_multiplier=1.0, capacity_factor=0.9, interrupt_rate=0.6)
         stats = self._run(two_skill_config(), mods, seed=11, horizon=300.0)
         assert stats.stop_interrupt > 0 and stats.preemption_count > 0
         assert stats.dead_letter_count > 0
+
+
+class TestStealTraffic:
+    """Every removal the engine makes takes its queue's best item.
+
+    ``_steal`` removes the item ``peek`` has just returned, which waits in
+    the queue's front slot or on top of its heap: the two cheap ways out of
+    ``WorkQueue.remove``.  A routing or stealing change that removed from
+    the middle of a queue would fall on its O(n) rebuild, and fails here.
+    """
+
+    @pytest.mark.parametrize("case", ["default", "two-skill", "mmc4"])
+    def test_every_removal_takes_the_best_item(self, case, monkeypatch):
+        if case == "default":
+            sc = default_scenario()
+            args = (sc.des, DesModifiers(), sc.seed, sc.horizon)
+        elif case == "two-skill":
+            mods = DesModifiers(rework_multiplier=1.0, capacity_factor=0.9, interrupt_rate=0.6)
+            args = (two_skill_config(), mods, 11, 300.0)
+        else:
+            args = (mmc_config(4, 3.2), DesModifiers(), 4, 500.0)
+        original = WorkQueue.remove
+        took_best = []
+
+        def remove(queue, item_id, now):
+            took_best.append(queue.peek().id == item_id)
+            return original(queue, item_id, now)
+
+        monkeypatch.setattr(WorkQueue, "remove", remove)
+        run_des(*args, collect_log=False)
+        assert took_best and all(took_best)
 
 
 class TestRoutingOrder:

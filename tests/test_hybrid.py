@@ -139,8 +139,8 @@ class TestExtractFeedback:
 
 class TestModifierChange:
     def test_identity_distance_is_zero(self):
-        a = DesModifiers.identity()
-        assert modifier_change(a, DesModifiers.identity()) == 0.0
+        a = DesModifiers()
+        assert modifier_change(a, DesModifiers()) == 0.0
 
     def test_largest_component_wins(self):
         a = DesModifiers(1.0, 1.0, 0.0)
@@ -156,7 +156,7 @@ class TestRunHybrid:
         assert not report.converged
         rec = report.cycles[0]
         assert rec.index == 0
-        assert rec.modifiers_in == DesModifiers.identity()
+        assert rec.modifiers_in == DesModifiers()
         assert rec.des_stats.completed_total > 0
 
     def test_cycle_seeds_differ(self):
@@ -180,7 +180,7 @@ class TestRunHybrid:
         report = run_hybrid(sc, cycles_max=3, tol=1e-12)
         assert report.converged
         for rec in report.cycles:
-            assert rec.modifiers_out == DesModifiers.identity()
+            assert rec.modifiers_out == DesModifiers()
 
     def test_zero_gain_cycles_match_standalone_runs(self):
         # the fixed point: with identity modifiers each cycle is exactly an

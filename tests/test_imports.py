@@ -6,6 +6,8 @@ module, or in the module's ``__all__``, or inside a string annotation.
 to read, so they are exempt.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +97,21 @@ def test_scenarios_load_through_one_loader():
                     alias.name for alias in node.names
                 )
     assert taken == {path.relative_to(ROOT).as_posix(): {"load_scenario"} for path in paths}
+
+
+def test_the_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py (``perfbench/run.py --trace 1``) rebinds package
+    # functions and methods by name, so renaming or deleting one under src/
+    # breaks its install; run it in a child so the patches die with it
+    code = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import teamsim.cli\n"
+        "from tracing import Tracer\n"
+        "Tracer('t').install()\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr

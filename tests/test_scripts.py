@@ -1,12 +1,15 @@
 """Smoke tests of the example scripts under ``scripts/``."""
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(script, args, monkeypatch):
@@ -32,3 +35,28 @@ def test_env_overrides_apply_to_the_default_scenario(tmp_path, monkeypatch, caps
     monkeypatch.setenv("TEAMSIM_SEED", "7")
     assert _run("run_baseline.py", ["--reps", "1", "--out", str(tmp_path)], monkeypatch) == 0
     assert "seed 7 ==" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "script, args", [("run_baseline.py", ["--reps", "1"]), ("run_loop_demo.py", ["--cycles", "1"])]
+)
+def test_closed_stdout_exits_two_without_a_traceback(script, args, buffered, tmp_path):
+    # stdout is a pipe whose read end is already closed: unbuffered, the first
+    # print fails; buffered, the flush after main does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        res = subprocess.run(
+            [sys.executable, str(SCRIPTS / script), *args, "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "i/o error: [Errno 32] Broken pipe" in res.stderr
