@@ -7,10 +7,10 @@ per-priority service figures and final stocks, and writes full reports.
     python scripts/run_baseline.py --reps 5 --out results/baseline
 """
 import argparse
-import os
 import sys
 from pathlib import Path
 
+from teamsim.cli import console_main
 from teamsim.des import run_des_replicated
 from teamsim.domain import Priority
 from teamsim.io.report import des_log_sink, emit_des_report, emit_sd_report
@@ -59,14 +59,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # so a closed stdout fails here, not at exit
-    except OSError as e:
-        # as in the CLI: an unwritable --out or a closed stdout exits 2
-        print(f"i/o error: {e}", file=sys.stderr)
-        if isinstance(e, BrokenPipeError):
-            # send stdout to /dev/null, so exiting does not retry the write
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 2
-    raise SystemExit(code)
+    # as in the CLI: an unwritable --out or a closed stdout exits 2
+    sys.exit(console_main(main))

@@ -10,10 +10,10 @@ in completed low-priority items.
     python scripts/run_loop_demo.py --cycles 3 --out results/loop_demo
 """
 import argparse
-import os
 import sys
 from pathlib import Path
 
+from teamsim.cli import console_main
 from teamsim.domain import Priority
 from teamsim.hybrid import run_hybrid
 from teamsim.io.report import emit_hybrid_report, hybrid_log_sink
@@ -60,14 +60,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # so a closed stdout fails here, not at exit
-    except OSError as e:
-        # as in the CLI: an unwritable --out or a closed stdout exits 2
-        print(f"i/o error: {e}", file=sys.stderr)
-        if isinstance(e, BrokenPipeError):
-            # send stdout to /dev/null, so exiting does not retry the write
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 2
-    raise SystemExit(code)
+    # as in the CLI: an unwritable --out or a closed stdout exits 2
+    sys.exit(console_main(main))

@@ -9,9 +9,11 @@ configuration or data, 2 unreadable or missing input, 3 engine failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from .des import run_des_replicated
 from .errors import ConfigurationError, DataError, TeamsimError
@@ -220,5 +222,27 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def console_main(entry: Callable[[], int] = main) -> int:
+    """Run ``entry`` as a process's whole life and return its exit code.
+
+    The boundary of ``python -m teamsim``, the ``teamsim`` command and the
+    example scripts.  Stdout is flushed here, so a closed one fails inside
+    the handler rather than at interpreter exit: an i/o error ends in exit
+    code 2 with ``i/o error: ...`` on stderr, never a traceback.  On a
+    broken pipe stdout is pointed at ``/dev/null``, so the flush at exit
+    does not retry the write.  ``main`` itself flushes nothing, since it is
+    also called in-process with stdout redirected.
+    """
+    try:
+        code = entry()
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

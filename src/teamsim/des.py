@@ -26,6 +26,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .domain import (
@@ -61,8 +62,14 @@ _MIX_TOL = 1e-9
 MAX_INTERRUPT_RATE = 24.0 * 60.0
 
 # The most whole days a run may cover: each class that completes work keeps
-# two day-by-day series, 16 bytes a day (16 MB per class at the bound).
+# two day-by-day series, an array('d') of sums and an array('q') of counts,
+# 16 bytes a day (16 MB per class at the bound).
 MAX_DES_DAYS = 10**6
+
+# Samples sorted at a time when a summary ranks a class's completion days:
+# each run is sorted as float objects, 32 bytes a sample, then kept as an
+# array('d'), so ranking n samples holds 8n bytes plus one run's floats.
+SORT_RUN = 4096
 
 
 def des_day_count(horizon: float) -> int:
@@ -339,16 +346,58 @@ class EventCalendar:
         return ev
 
 
-def _quantile(sorted_vals: list[float], q: float) -> float:
-    """Linear-interpolation quantile on pre-sorted data."""
-    n = len(sorted_vals)
-    if n == 1:
-        return sorted_vals[0]
+def _quantile_ranks(q: float, n: int) -> tuple[int, int, float]:
+    """(lo, hi, frac): the q-quantile of n sorted values v is v[lo]*(1-frac) + v[hi]*frac."""
     pos = q * (n - 1)
     lo = int(math.floor(pos))
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
+    return lo, min(lo + 1, n - 1), pos - lo
+
+
+def _quantile(sorted_vals, q: float, n: int | None = None) -> float:
+    """Linear-interpolation quantile of ``n`` values in ascending order.
+
+    ``n`` defaults to ``len(sorted_vals)``.  Only the ranks that
+    ``_quantile_ranks`` names are looked up, so a mapping from rank to value
+    that holds just those (see ``_ranked_quantiles``) serves as well as the
+    whole sorted list.
+    """
+    if n is None:
+        n = len(sorted_vals)
+    if n == 1:
+        return sorted_vals[0]
+    lo, hi, frac = _quantile_ranks(q, n)
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
+
+
+def _take(merged, positions) -> list[float]:
+    """The values at the given ascending 0-based positions of an iterator."""
+    out = []
+    done = 0  # values consumed so far
+    for k in positions:
+        out.append(next(islice(merged, k - done, None)))
+        done = k + 1
+    return out
+
+
+def _ranked_quantiles(samples: array, qs: tuple[float, ...]) -> list[float]:
+    """``[_quantile(sorted(samples), q) for q in qs]``, without the sorted list.
+
+    The samples are sorted ``SORT_RUN`` at a time into ``array('d')`` runs,
+    and the runs are merged only as far as the ranks the quantiles read: up
+    from the smallest for ranks in the lower half, down from the largest for
+    the rest.  ``heapq.merge`` takes equal values from the earlier run first,
+    as a stable sort of the whole would, and the walk down takes the runs
+    in reverse, so every rank holds the very float ``sorted`` puts there.
+    """
+    n = len(samples)
+    runs = [array("d", sorted(samples[i:i + SORT_RUN])) for i in range(0, n, SORT_RUN)]
+    ranks = {r for q in qs for r in _quantile_ranks(q, n)[:2]}
+    low = sorted(r for r in ranks if 2 * r < n)
+    high = sorted(n - 1 - r for r in ranks if 2 * r >= n)  # counted from the largest
+    at = dict(zip(low, _take(heapq.merge(*runs), low)))
+    down = heapq.merge(*[reversed(run) for run in reversed(runs)], reverse=True)
+    at.update(zip((n - 1 - k for k in high), _take(down, high)))
+    return [_quantile(at, q, n) for q in qs]
 
 
 def class_order(key: tuple[WorkType, Priority]) -> tuple[str, int]:
@@ -373,9 +422,15 @@ class DesStats:
     of ``merge_stats(a, b)`` equals that of ``merge_stats(b, a)`` exactly
     (sample means use exact summation, quantiles sort first).
 
-    Per-class samples are flat ``array('d')`` buffers, 8 bytes a sample, so
-    pooling them is a block copy; they are read only through ``math.fsum``,
-    ``sorted`` and ``len``.
+    Every series is a typed array, so pooling one is a block copy or a
+    day-by-day add that keeps its element type.  Per-class samples are
+    ``array('d')`` buffers, 8 bytes a sample, read only through
+    ``math.fsum``, ``len`` and ``_ranked_quantiles``, which sorts them a run
+    at a time, so a summary holds about 8 more bytes a sample, not the 32 of
+    a sorted list of floats.  Each class's day series are a zero-filled
+    ``array('d')`` of completion-day sums and ``array('q')`` of completion
+    counts, 16 bytes a day; the queue samples by priority are ``array('q')``
+    series that ``DesEngine._sample_days`` extends in place.
     """
 
     # scalar counters, each with the summary key it is reported under
@@ -421,7 +476,7 @@ class DesStats:
         for name in self.CLASS_COUNTS + self.CLASS_SAMPLES + self.CLASS_DAILY:
             setattr(self, name, {})
         for name in self.PRIORITY_DAILY:
-            setattr(self, name, {p: [] for p in Priority})
+            setattr(self, name, {p: array("q") for p in Priority})
 
     # -- accumulation ------------------------------------------------------------
     def note_arrival(self, key: tuple[WorkType, Priority]) -> None:
@@ -439,8 +494,8 @@ class DesStats:
             self.completion_samples[key] = array("d", (days,))
             self.queue_time_samples[key] = array("d", (queue_days,))
             if n_days > 0:
-                self.daily_completion_sum[key] = [0.0] * n_days
-                self.daily_completion_count[key] = [0] * n_days
+                self.daily_completion_sum[key] = array("d", [0.0]) * n_days
+                self.daily_completion_count[key] = array("q", [0]) * n_days
         if n_days > 0:
             d = int(t)
             if d >= n_days:
@@ -540,10 +595,10 @@ class DesStats:
             out[f"{stem}.arrived"] = self.arrived.get(key, 0)
             out[f"{stem}.completed"] = self.completed.get(key, 0)
             out[f"{stem}.mean_completion_days"] = self.mean_completion_days(key)
-            # the median and the 90th percentile, from one sort
-            ranked = sorted(self.completion_samples.get(key, ()))
-            out[f"{stem}.median_completion_days"] = _quantile(ranked, 0.5) if ranked else None
-            out[f"{stem}.p90_completion_days"] = _quantile(ranked, 0.9) if ranked else None
+            samples = self.completion_samples.get(key)
+            median, p90 = _ranked_quantiles(samples, (0.5, 0.9)) if samples else (None, None)
+            out[f"{stem}.median_completion_days"] = median
+            out[f"{stem}.p90_completion_days"] = p90
             out[f"{stem}.mean_queue_days"] = self.mean_queue_days(key)
         return out
 
@@ -558,14 +613,14 @@ def merge_stats(a: DesStats, b: DesStats) -> DesStats:
         setattr(out, name, getattr(a, name) + getattr(b, name))
     for name in DesStats.PRIORITY_DAILY:
         sa, sb = getattr(a, name), getattr(b, name)
-        setattr(out, name, {p: [x + y for x, y in zip(sa[p], sb[p])] for p in Priority})
+        setattr(out, name, {p: array("q", [x + y for x, y in zip(sa[p], sb[p])]) for p in Priority})
     # a's classes first, then b's new ones, so dict and sample orders are fixed
     for src in (a, b):
         for name in DesStats.CLASS_COUNTS:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
                 acc[key] = acc.get(key, 0) + v
-        # new buffers and lists throughout, so out shares no storage with a or b
+        # new buffers throughout, so out shares no storage with a or b
         for name in DesStats.CLASS_SAMPLES:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
@@ -577,7 +632,10 @@ def merge_stats(a: DesStats, b: DesStats) -> DesStats:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
                 # a copy equals 0 + v day by day: day sums are >= 0, never -0.0
-                acc[key] = [x + y for x, y in zip(acc[key], v)] if key in acc else list(v)
+                if key in acc:
+                    acc[key] = array(v.typecode, [x + y for x, y in zip(acc[key], v)])
+                else:
+                    acc[key] = v[:]
     return out
 
 

@@ -3,9 +3,12 @@ import copy
 import json
 import math
 import operator
+import os
 import subprocess
 import sys
+import tomllib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
@@ -54,8 +57,6 @@ def parse_kv(stdout: str) -> dict:
 
 
 def run_cli(*args, env=None, timeout=120):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -366,6 +367,36 @@ def test_importing_the_entry_module_runs_nothing():
         [sys.executable, "-c", "import teamsim.__main__"], capture_output=True, text=True, timeout=60
     )
     assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["validate", "default"], ["des", "default"]], ids=["validate", "des"])
+def test_closed_stdout_exits_two_without_a_traceback(argv, buffered):
+    # stdout is a pipe whose read end is already closed: unbuffered, the
+    # first print fails inside main; buffered, every print lands in the
+    # buffer and the flush at the console_main boundary fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "teamsim", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr == "i/o error: [Errno 32] Broken pipe\n"
+
+
+def test_the_console_command_runs_through_the_boundary():
+    # the installed `teamsim` command gets the same closed-stdout handling
+    # as `python -m teamsim`
+    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    assert project["project"]["scripts"] == {"teamsim": "teamsim.cli:console_main"}
 
 
 class TestHybridCommand:

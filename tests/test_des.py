@@ -9,6 +9,8 @@ live in test_acceptance.py.
 import copy
 import math
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -24,6 +26,9 @@ from teamsim.des import (
     GeneratorConfig,
     MAX_DES_DAYS,
     MAX_INTERRUPT_RATE,
+    SORT_RUN,
+    _quantile,
+    _ranked_quantiles,
     des_day_count,
     merge_stats,
     run_des,
@@ -835,8 +840,11 @@ _FOLDS = {
 
 
 def _as_lists(kind, value):
-    # samples are array('d'), which never equals a list: compare both as lists
-    return {k: list(v) for k, v in value.items()} if kind == "CLASS_SAMPLES" else value
+    # samples and day series are typed arrays, which never equal a list:
+    # compare both as lists
+    if kind in ("CLASS_SAMPLES", "CLASS_DAILY", "PRIORITY_DAILY"):
+        return {k: list(v) for k, v in value.items()}
+    return value
 
 
 class TestStatsDeclaration:
@@ -883,8 +891,89 @@ class TestStatsDeclaration:
             for kind in ("CLASS_SAMPLES", "CLASS_DAILY", "PRIORITY_DAILY"):
                 for name in getattr(DesStats, kind):
                     for series in getattr(out, name).values():
-                        series.extend([7.0, 7.0])
+                        series.extend(array(series.typecode, [7, 7]))
             assert (vars(x), vars(y)) == before
+
+
+    def test_series_keep_their_element_types(self):
+        mods = DesModifiers(rework_multiplier=1.5, interrupt_rate=0.6)
+        a, _ = run_des(two_skill_config(), mods, seed=1, horizon=30.0, collect_log=False)
+        b, _ = run_des(two_skill_config(), mods, seed=2, horizon=30.0, collect_log=False)
+        typecodes = {"completion_samples": "d", "queue_time_samples": "d",
+                     "daily_completion_sum": "d", "daily_completion_count": "q",
+                     "daily_queue_by_priority": "q"}
+        for stats in (a, merge_stats(a, b)):
+            for name, code in typecodes.items():
+                series = getattr(stats, name).values()
+                assert series and {(type(v), v.typecode) for v in series} == {(array, code)}, name
+
+
+class TestSummaryMemory:
+    """What a long run's summary and day series cost, traced with tracemalloc."""
+
+    KEY = (WorkType.INCIDENT, Priority.P2)
+
+    def test_summary_holds_about_eight_bytes_a_sample(self):
+        # Bound: 12 B a sample for 200k samples of one class (ranking them as
+        # one sorted list of floats takes about 36); under a second
+        n = 200_000
+        stats = DesStats(10.0)
+        rng = random.Random(3)
+        for _ in range(n):
+            stats.note_completion(self.KEY, rng.expovariate(0.5), 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            flat = stats.to_flat_dict()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        ranked = sorted(stats.completion_samples[self.KEY])
+        assert flat["class.incident.p2.median_completion_days"] == _quantile(ranked, 0.5)
+        assert flat["class.incident.p2.p90_completion_days"] == _quantile(ranked, 0.9)
+        assert peak <= 12 * n, f"{peak / n:.1f} B a sample"
+
+    def test_class_day_series_hold_sixteen_bytes_a_day(self):
+        # Bound: the two series of a class that completes work every day of
+        # 50k hold 16 B a day and at most 1 KiB more (a list of day sums
+        # takes 32 B a day, its counts 8); about half a second
+        n_days = 50_000
+        stats = DesStats(float(n_days))
+        tracemalloc.start()
+        try:
+            for d in range(n_days):
+                stats.note_completion(self.KEY, 1.0 + d / n_days, 0.0, d + 0.5)
+            held = tracemalloc.get_traced_memory()[0]
+            stats.daily_completion_sum.clear()
+            stats.daily_completion_count.clear()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 16 * n_days <= freed <= 16 * n_days + 1024, f"{freed / n_days:.1f} B a day"
+
+
+# hypothesis: sample buffers of every size around the sort-run boundaries,
+# drawn from a small pool so that ties and repeated values are common; the
+# pool may hold 0.0 and -0.0, equal but told apart by repr, so a tie taken
+# from the wrong run would show.
+# Bounds: 60 examples of at most 3 * SORT_RUN + 7 samples, a few seconds in all.
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, SORT_RUN - 1, SORT_RUN, SORT_RUN + 1, 3 * SORT_RUN + 7]),
+    pool=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)), min_size=1, max_size=6
+    ),
+    order=st.sampled_from(["shuffled", "ascending", "descending"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranked_quantiles_equal_a_full_sort_bit_for_bit(n, pool, order, seed):
+    rng = random.Random(seed)
+    values = [rng.choice(pool) for _ in range(n)]
+    if order != "shuffled":
+        values.sort(reverse=order == "descending")
+    samples = array("d", values)
+    expected = [_quantile(sorted(list(samples)), q) for q in (0.5, 0.9)]
+    assert [repr(x) for x in _ranked_quantiles(samples, (0.5, 0.9))] == [repr(x) for x in expected]
 
 
 # hypothesis: teams of several skill types.  "data" has a single engineer, so

@@ -80,7 +80,7 @@ def _des_lines(stats, log) -> list[str]:
     series = {
         "team": [0] * stats.n_days,
         "individual": stats.daily_individual_queue,
-        "by_priority": {p.name: v for p, v in stats.daily_queue_by_priority.items()},
+        "by_priority": {p.name: list(v) for p, v in stats.daily_queue_by_priority.items()},
         "daily_mean": {
             f"{wt.value}.{pr.name}": _daily_mean(stats, (wt, pr)) for wt, pr in stats.class_keys()
         },
