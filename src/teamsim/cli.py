@@ -28,7 +28,7 @@ from .io.report import (
 )
 from .io.records import read_yaml
 from .io.scenario import load_scenario
-from .io.tickets import generate_synthetic, ingest_tickets, synth_spec_from_dict
+from .io.tickets import SERVICE_TIME_SOURCES, generate_synthetic, ingest_tickets, synth_spec_from_dict
 from .sd import run_sd
 
 
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tickets", help="ticket CSV path")
     p.add_argument(
         "--service-time-source",
-        choices=("touch", "elapsed"),
+        choices=SERVICE_TIME_SOURCES,
         default="touch",
         help="which column carries service time",
     )

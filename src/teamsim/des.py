@@ -329,6 +329,7 @@ class EventCalendar:
         self._seq = 0
         self._now = 0.0
 
+    # not read by the engine; perfbench's tracer reads it for des.calendar.peak_len
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -400,6 +401,16 @@ def _ranked_quantiles(samples: array, qs: tuple[float, ...]) -> list[float]:
     return [_quantile(at, q, n) for q in qs]
 
 
+def _add_days(x: array, y: array) -> array:
+    """Day-by-day sum of two day series of one shape, in ``x``'s element type."""
+    return array(x.typecode, [a + b for a, b in zip(x, y, strict=True)])
+
+
+def _sample_mean(samples: array | None) -> float | None:
+    """Exact mean of a class's samples; None for a class without any."""
+    return math.fsum(samples) / len(samples) if samples else None
+
+
 def class_order(key: tuple[WorkType, Priority]) -> tuple[str, int]:
     """Sort key of a (work type, priority) class: by type name, then P1 first."""
     return key[0].value, -int(key[1])
@@ -411,16 +422,21 @@ class DesStats:
     Every accumulator is declared once below, grouped by kind, and the kind
     says how ``__init__`` starts it and how ``merge_stats`` pools it:
     scalar counters and integrals add; per-class counts add key by key;
-    per-class samples concatenate; daily series add day by day.  Totals
-    that follow from the accumulators (``arrived_total``,
-    ``completed_total``, ``stop_count``, ``reassignment_count`` and
-    ``daily_individual_queue``) are read-only properties, not stored.  The
-    summary's per-day rates, declared in ``PER_DAY``, divide one of these
-    by ``total_days``, the days of all replications together.
+    per-class samples concatenate; day series, per class or per priority,
+    add day by day.  Totals that follow from the accumulators
+    (``arrived_total``, ``completed_total``, ``stop_count``,
+    ``reassignment_count`` and ``daily_individual_queue``) are read-only
+    properties, not stored.  The summary's per-day rates, declared in
+    ``PER_DAY``, divide one of these by ``total_days``, the days of all
+    replications together.
 
     Merging pools raw samples and sums counters, so every derived statistic
     of ``merge_stats(a, b)`` equals that of ``merge_stats(b, a)`` exactly
     (sample means use exact summation, quantiles sort first).
+    ``DesStats(h)`` is the empty pool, the identity of ``merge_stats``: it
+    counts 0 replications (a finished run counts 1) and holds zeros, so
+    merged with ``b`` on either side it gives ``b``'s accumulators value
+    for value.  It covers no days, so its per-day rates are None.
 
     Every series is a typed array, so pooling one is a block copy or a
     day-by-day add that keeps its element type.  Per-class samples are
@@ -429,8 +445,9 @@ class DesStats:
     at a time, so a summary holds about 8 more bytes a sample, not the 32 of
     a sorted list of floats.  Each class's day series are a zero-filled
     ``array('d')`` of completion-day sums and ``array('q')`` of completion
-    counts, 16 bytes a day; the queue samples by priority are ``array('q')``
-    series that ``DesEngine._sample_days`` extends in place.
+    counts, 16 bytes a day.  The queue samples by priority have the same
+    shape: a zero-filled ``array('q')`` of ``n_days`` for every priority,
+    whose day-boundary slices ``DesEngine._sample_days`` fills in place.
     """
 
     # scalar counters, each with the summary key it is reported under
@@ -467,7 +484,7 @@ class DesStats:
 
     def __init__(self, horizon: float) -> None:
         self.horizon = horizon
-        self.replications = 1
+        self.replications = 0
         self.n_days = des_day_count(horizon)
         for name in self.COUNTERS:
             setattr(self, name, 0)
@@ -476,7 +493,7 @@ class DesStats:
         for name in self.CLASS_COUNTS + self.CLASS_SAMPLES + self.CLASS_DAILY:
             setattr(self, name, {})
         for name in self.PRIORITY_DAILY:
-            setattr(self, name, {p: array("q") for p in Priority})
+            setattr(self, name, {p: array("q", [0]) * self.n_days for p in Priority})
 
     # -- accumulation ------------------------------------------------------------
     def note_arrival(self, key: tuple[WorkType, Priority]) -> None:
@@ -493,9 +510,8 @@ class DesStats:
             self.completed[key] = 1
             self.completion_samples[key] = array("d", (days,))
             self.queue_time_samples[key] = array("d", (queue_days,))
-            if n_days > 0:
-                self.daily_completion_sum[key] = array("d", [0.0]) * n_days
-                self.daily_completion_count[key] = array("q", [0]) * n_days
+            self.daily_completion_sum[key] = array("d", [0.0]) * n_days
+            self.daily_completion_count[key] = array("q", [0]) * n_days
         if n_days > 0:
             d = int(t)
             if d >= n_days:
@@ -508,16 +524,10 @@ class DesStats:
         return sorted(set(self.arrived) | set(self.completed), key=class_order)
 
     def mean_completion_days(self, key) -> float | None:
-        samples = self.completion_samples.get(key)
-        if not samples:
-            return None
-        return math.fsum(samples) / len(samples)
+        return _sample_mean(self.completion_samples.get(key))
 
     def mean_queue_days(self, key) -> float | None:
-        samples = self.queue_time_samples.get(key)
-        if not samples:
-            return None
-        return math.fsum(samples) / len(samples)
+        return _sample_mean(self.queue_time_samples.get(key))
 
     # -- pooled over the work types of one priority ----------------------------------
     def completed_of_priority(self, priority: Priority) -> int:
@@ -543,15 +553,12 @@ class DesStats:
 
     def priority_daily_mean(self, priority: Priority) -> list[float | None]:
         """Daily mean completion time of one priority, None on days without one."""
-        sums = [0.0] * self.n_days
-        counts = [0] * self.n_days
+        sums = array("d", [0.0]) * self.n_days
+        counts = array("q", [0]) * self.n_days
         for key, daily in self.daily_completion_sum.items():
-            if key[1] is not priority:
-                continue
-            cnts = self.daily_completion_count[key]
-            for i in range(len(daily)):
-                sums[i] += daily[i]
-                counts[i] += cnts[i]
+            if key[1] is priority:
+                sums = _add_days(sums, daily)
+                counts = _add_days(counts, self.daily_completion_count[key])
         return [s / c if c > 0 else None for s, c in zip(sums, counts)]
 
     @property
@@ -588,7 +595,7 @@ class DesStats:
                 out[report_key] = getattr(self, name)
         total_days = self.total_days
         for name, report_key in self.PER_DAY.items():
-            out[report_key] = getattr(self, name) / total_days
+            out[report_key] = getattr(self, name) / total_days if self.replications else None
         for key in self.class_keys():
             wt, pr = key
             stem = f"class.{wt.value}.{pr.name.lower()}"
@@ -611,10 +618,7 @@ def merge_stats(a: DesStats, b: DesStats) -> DesStats:
     out.replications = a.replications + b.replications
     for name in (*DesStats.COUNTERS, *DesStats.INTEGRALS):
         setattr(out, name, getattr(a, name) + getattr(b, name))
-    for name in DesStats.PRIORITY_DAILY:
-        sa, sb = getattr(a, name), getattr(b, name)
-        setattr(out, name, {p: array("q", [x + y for x, y in zip(sa[p], sb[p])]) for p in Priority})
-    # a's classes first, then b's new ones, so dict and sample orders are fixed
+    # a's keys first, then b's new ones, so dict and sample orders are fixed
     for src in (a, b):
         for name in DesStats.CLASS_COUNTS:
             acc = getattr(out, name)
@@ -624,18 +628,13 @@ def merge_stats(a: DesStats, b: DesStats) -> DesStats:
         for name in DesStats.CLASS_SAMPLES:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
-                if key in acc:
-                    acc[key].extend(v)
-                else:
-                    acc[key] = array("d", v)
-        for name in DesStats.CLASS_DAILY:
+                acc.setdefault(key, array("d")).extend(v)
+        # out starts with zeros for every priority and no class series, so a new
+        # class's series is copied: v[:] equals 0 + v, as day sums are >= 0
+        for name in DesStats.CLASS_DAILY + DesStats.PRIORITY_DAILY:
             acc = getattr(out, name)
             for key, v in getattr(src, name).items():
-                # a copy equals 0 + v day by day: day sums are >= 0, never -0.0
-                if key in acc:
-                    acc[key] = array(v.typecode, [x + y for x, y in zip(acc[key], v)])
-                else:
-                    acc[key] = v[:]
+                acc[key] = _add_days(acc[key], v) if key in acc else v[:]
     return out
 
 
@@ -737,17 +736,14 @@ class DesEngine:
 
     # -- time bookkeeping ----------------------------------------------------
     def _sample_days(self, t: float) -> None:
-        # one sample per day boundary d with next_sample_day <= d <= min(t, n_days);
-        # nothing moves between them, so they all read the same counts.  Queue
-        # counts are indexed by int(priority) and read in place, not copied.
-        st = self.stats
-        last = min(int(t), st.n_days)
+        # run calls this once t reaches next_sample_day, which is then at most
+        # n_days: one sample, at index d - 1, per day boundary d up to min(t,
+        # n_days), all of the same queue counts, read by int(priority).
+        last = min(int(t), self.stats.n_days)
         n = last - self.next_sample_day + 1
-        if n <= 0:
-            return
         own = [sum(col) for col in zip(*self._queue_counts)]
-        for p, series in st.daily_queue_by_priority.items():
-            series.extend([own[p]] * n)
+        for p, series in self.stats.daily_queue_by_priority.items():
+            series[last - n:last] = array("q", [own[p]]) * n
         self.next_sample_day = last + 1
 
     # -- event handlers --------------------------------------------------------
@@ -963,6 +959,7 @@ class DesEngine:
             if self.n_in_system != self.n_busy and self.n_busy != n_servers:
                 self._dispatch(t)
         self._finalize()
+        self.stats.replications = 1
         return self.stats
 
     def _finalize(self) -> None:
@@ -1016,9 +1013,10 @@ def run_des_replicated(
     """Run ``replications`` independent replications with seeds seed, seed+1, ...
 
     Returns the stats pooled with ``merge_stats``, left-folded in seed
-    order.  Event logs are collected only for a ``log_sink``: replication
-    ``i``'s log is handed to ``log_sink(i, log)`` as soon as it ends and is
-    not kept.
+    order: each run is pooled as it ends and dropped, so the fold holds the
+    pool and one run, never all runs.  Event logs are collected only for a
+    ``log_sink``: replication ``i``'s log is handed to ``log_sink(i, log)``
+    as soon as it ends and is not kept.
     """
     if replications < 1:
         raise ConfigurationError("replications must be >= 1")

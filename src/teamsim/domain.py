@@ -22,6 +22,13 @@ SKILL_LEVEL_MIN = 1
 SKILL_LEVEL_MAX = 3
 
 
+def _member_by_value(cls: type[Enum], label: str, what: str):
+    try:
+        return cls(label.strip().lower())
+    except ValueError:
+        raise ConfigurationError(f"unknown {what} label: {label!r}") from None
+
+
 class Priority(IntEnum):
     """Urgency classes. Comparison follows urgency: P1 > P2 > P3."""
 
@@ -56,11 +63,7 @@ class WorkType(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "WorkType":
-        key = label.strip().lower()
-        for wt in cls:
-            if wt.value == key:
-                return wt
-        raise ConfigurationError(f"unknown work type label: {label!r}")
+        return _member_by_value(cls, label, "work type")
 
 
 class Affinity(Enum):
@@ -71,11 +74,7 @@ class Affinity(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Affinity":
-        key = label.strip().lower()
-        for af in cls:
-            if af.value == key:
-                return af
-        raise ConfigurationError(f"unknown affinity label: {label!r}")
+        return _member_by_value(cls, label, "affinity")
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,7 @@ class WorkQueue:
         self._heap: list[tuple[int, float, int, WorkItem]] = []
         self._index: dict[int, WorkItem] = {}
 
+    # the engine reads .size; perfbench's tracer reads this for domain.queue.peak_len
     def __len__(self) -> int:
         return self.size
 

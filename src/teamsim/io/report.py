@@ -174,7 +174,7 @@ def emit_des_report(
     by_priority = [stats.daily_queue_by_priority[pr] for pr in (Priority.P1, Priority.P2, Priority.P3)]
     rows = (
         (day0 + 1, *(n / reps for n in counts))
-        for day0, counts in enumerate(zip(stats.daily_individual_queue, *by_priority))
+        for day0, counts in enumerate(zip(stats.daily_individual_queue, *by_priority)) if reps
     )
     p = out_dir / "queue_lengths.csv"
     write_csv(p, ("day", "individual_queues", "p1", "p2", "p3"), rows)

@@ -51,12 +51,10 @@ class Scenario:
         self.des.validate()
         self.sd_params.validate()
         self.sd_initial.validate()
-        # a positive, finite horizon and dt, a bounded flow-model step count
-        # and a bounded number of event-model days
+        # a positive, finite horizon, a dt in (0, horizon], a bounded
+        # flow-model step count and a bounded number of event-model days
         sd_step_count(self.horizon, self.dt)
         des_day_count(self.horizon)
-        if self.dt > self.horizon:
-            raise ConfigurationError(f"dt must lie in (0, horizon], got {self.dt}")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if self.cycles_max < 1:

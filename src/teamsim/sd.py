@@ -300,13 +300,16 @@ def _check_finite(state: tuple[float, ...], aux: tuple[float, ...], t: float) ->
 def sd_step_count(horizon: float, dt: float) -> int:
     """The number of steps of size dt that cover the horizon.
 
-    Rejects a non-positive or non-finite horizon or dt, and more than
-    ``MAX_SD_STEPS`` steps: a run keeps every step, some 840 bytes each.
+    Rejects a non-positive or non-finite horizon or dt, a dt above the
+    horizon, and more than ``MAX_SD_STEPS`` steps: a run keeps every step,
+    some 840 bytes each.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if horizon <= 0.0 or not math.isfinite(horizon):
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+    if dt > horizon:
+        raise ConfigurationError(f"dt must lie in (0, horizon], got {dt}")
     steps = horizon / dt - 1e-12
     # ceil(steps) <= MAX_SD_STEPS exactly when steps <= MAX_SD_STEPS, which
     # is false for an overflow to inf

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import teamsim.sd
 from teamsim import cli
 from teamsim.des import MAX_DES_DAYS
+from teamsim.errors import ConfigurationError
 from teamsim.io.scenario import default_scenario, load_scenario, save_scenario, scenario_to_dict
 
 from test_golden import GOLDEN, _files_sha
@@ -333,6 +334,28 @@ class TestDesCommand:
 
 
 class TestSdCommand:
+    def test_dt_above_the_horizon_is_one_rule_for_every_source(self, tmp_path, monkeypatch, capsys):
+        # the flag, the environment, a scenario file and run_sd all meet it
+        message = "dt must lie in (0, horizon], got 200.0"
+        assert cli.main(["sd", "default", "--dt", "200"]) == 1
+        assert cli.main(["sd", "default", "--horizon", "20", "--dt", "20.5"]) == 1
+        doc = scenario_to_dict(default_scenario())
+        doc["dt"] = 200.0
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert cli.main(["validate", str(path)]) == 1
+        monkeypatch.setenv("TEAMSIM_DT", "200")
+        for command in ("validate", "sd", "hybrid"):
+            assert cli.main([command, "default"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        short = "error: dt must lie in (0, horizon], got 20.5"
+        assert err == [f"error: {message}", short, *[f"error: {message}"] * 4]
+        sc = default_scenario()
+        with pytest.raises(ConfigurationError, match=r"^dt must lie in \(0, horizon\], got 200.0$"):
+            teamsim.sd.run_sd(sc.sd_initial, sc.sd_params, 126.0, 200.0)
+        # a dt equal to the horizon is one step
+        assert len(teamsim.sd.run_sd(sc.sd_initial, sc.sd_params, 20.0, 20.0)) == 2
+
     def test_prints_final_state(self):
         res = run_cli("sd", "default", "--horizon", "20")
         assert res.returncode == 0

@@ -895,6 +895,32 @@ class TestStatsDeclaration:
             assert (vars(x), vars(y)) == before
 
 
+    def test_an_empty_pool_is_the_identity_on_either_side(self):
+        # repr tells array('q') from array('d'), 1 from 1.0, and prints every
+        # float exactly, so each accumulator must equal the other operand's
+        mods = DesModifiers(rework_multiplier=1.5, capacity_factor=0.9, interrupt_rate=0.6)
+        b, _ = run_des(two_skill_config(), mods, seed=2, horizon=30.0, collect_log=False)
+        assert b.stop_count > 0 and b.dead_letter_count > 0 and b.rework_count > 0
+        for merged in (merge_stats(DesStats(30.0), b), merge_stats(b, DesStats(30.0))):
+            for kind in _FOLDS:
+                for name in getattr(DesStats, kind):
+                    assert repr(getattr(merged, name)) == repr(getattr(b, name)), name
+            assert merged.replications == b.replications == 1
+            assert merged.daily_individual_queue == b.daily_individual_queue
+            assert len(merged.daily_individual_queue) == 30
+            assert merged.to_flat_dict() == b.to_flat_dict()
+
+    def test_a_run_counts_itself_and_an_empty_pool_counts_none(self):
+        empty = DesStats(30.0)
+        assert empty.replications == 0
+        assert merge_stats(empty, DesStats(30.0)).replications == 0
+        stats, _ = run_des(two_skill_config(), seed=2, horizon=30.0, collect_log=False)
+        assert stats.replications == 1
+        # no replication covers a day, so no per-day rate is defined
+        flat = empty.to_flat_dict()
+        assert {flat[key] for key in DesStats.PER_DAY.values()} == {None}
+        assert flat["replications"] == 0 and flat["completed_total"] == 0
+
     def test_series_keep_their_element_types(self):
         mods = DesModifiers(rework_multiplier=1.5, interrupt_rate=0.6)
         a, _ = run_des(two_skill_config(), mods, seed=1, horizon=30.0, collect_log=False)

@@ -51,6 +51,20 @@ class TestWorkType:
         with pytest.raises(ConfigurationError):
             WorkType.from_label("outage")
 
+    def test_from_label_reads_the_value_stripped_and_lower_cased(self):
+        assert WorkType.from_label(" Rework_Incident ") is WorkType.REWORK_INCIDENT
+        # a member's name is not its label
+        with pytest.raises(ConfigurationError, match="^unknown work type label: 'INCIDENT_'$"):
+            WorkType.from_label("INCIDENT_")
+
+
+class TestAffinity:
+    def test_from_label(self):
+        assert Affinity.from_label(" Project") is Affinity.PROJECT_PRIMARY
+        assert Affinity.from_label("OPERATIONAL") is Affinity.OPERATIONAL_PRIMARY
+        with pytest.raises(ConfigurationError, match="^unknown affinity label: 'project_primary'$"):
+            Affinity.from_label("project_primary")
+
 
 class TestSkillSpec:
     def test_level_bounds(self):

@@ -278,6 +278,14 @@ class TestReportEmission:
         first = json.loads((tmp_path / "eventlog.ndjson").read_text().splitlines()[0])
         assert set(first) == {"time", "event_kind", "item_id", "engineer_id", "detail"}
 
+    def test_an_empty_pool_reports_no_days(self, tmp_path):
+        # a pool of no replications has no queue means and no per-day rates
+        emit_des_report(teamsim.des.DesStats(30.0), tmp_path)
+        q = (tmp_path / "queue_lengths.csv").read_text()
+        assert q == "day,individual_queues,p1,p2,p3\n"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["replications"] == 0 and summary["completions_per_day"] is None
+
     def test_emission_is_repeatable_bytes(self, tmp_path):
         stats, log = run_des(default_scenario().des, seed=20, horizon=20.0)
         d1, d2 = tmp_path / "one", tmp_path / "two"
