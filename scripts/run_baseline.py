@@ -10,11 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from teamsim.cli import console_main
+from teamsim.cli import console_main, scenario_from_args
 from teamsim.des import run_des_replicated
 from teamsim.domain import Priority
 from teamsim.io.report import des_log_sink, emit_des_report, emit_sd_report
-from teamsim.io.scenario import load_scenario
 from teamsim.sd import run_sd
 
 
@@ -26,16 +25,15 @@ def main() -> int:
     ap.add_argument("--out", default="results/baseline")
     args = ap.parse_args()
 
-    sc = load_scenario(args.scenario)
-    seed = sc.seed if args.seed is None else args.seed
+    sc = scenario_from_args(args)
     out = Path(args.out)
 
     # each replication's log is written as soon as it ends
-    sink = des_log_sink(out / "des", args.reps)
+    sink = des_log_sink(out / "des", sc.replications)
     stats = run_des_replicated(
-        sc.des, seed=seed, horizon=sc.horizon, replications=args.reps, log_sink=sink
+        sc.des, seed=sc.seed, horizon=sc.horizon, replications=sc.replications, log_sink=sink
     )
-    print(f"== event model: {args.reps} x {sc.horizon:g} days, seed {seed} ==")
+    print(f"== event model: {sc.replications} x {sc.horizon:g} days, seed {sc.seed} ==")
     print(f"arrived {stats.arrived_total}  completed {stats.completed_total}  "
           f"stops {stats.stop_count}  rework {stats.rework_count}")
     print(f"{'priority':<10}{'n done':>8}{'mean queue d':>14}{'mean total d':>14}")

@@ -11,13 +11,13 @@ in completed low-priority items.
 """
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from teamsim.cli import console_main
+from teamsim.cli import console_main, scenario_from_args
 from teamsim.domain import Priority
 from teamsim.hybrid import run_hybrid
 from teamsim.io.report import emit_hybrid_report, hybrid_log_sink
-from teamsim.io.scenario import load_scenario
 
 
 def main() -> int:
@@ -28,10 +28,10 @@ def main() -> int:
     ap.add_argument("--out", default="results/loop_demo")
     args = ap.parse_args()
 
-    sc = load_scenario(args.scenario)
+    sc = replace(scenario_from_args(args), tol=1e-12)
     # each cycle's log is written as soon as its event-model run ends
     sink = hybrid_log_sink(Path(args.out))
-    report = run_hybrid(sc, cycles_max=args.cycles, seed=args.seed, tol=1e-12, log_sink=sink)
+    report = run_hybrid(sc, log_sink=sink)
 
     print(f"{'cycle':<6}{'rework x':>9}{'capacity':>9}{'intr/day':>9}"
           f"{'stops':>7}{'rework':>7}{'P2 days':>8}{'P3 done':>8}")

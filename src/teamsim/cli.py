@@ -3,15 +3,16 @@
 Subcommands: fit, synth, des, sd, hybrid, validate.  Scenario arguments
 take a YAML path or the literal name ``default`` for the built-in
 overloaded-team scenario; environment variables prefixed ``TEAMSIM_``
-override scenario fields either way.  Exit codes: 0 success, 1 bad
-configuration or data, 2 unreadable or missing input, 3 engine failure.
+override scenario fields either way, and run-setting flags set them after
+the overrides.  Exit codes: 0 success, 1 bad configuration or data, 2
+unreadable or missing input, 3 engine failure.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable
 
@@ -43,6 +44,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# each run-setting flag, by its argparse dest, and the Scenario field it sets
+_RUN_FLAGS = {
+    "seed": "seed",
+    "horizon": "horizon",
+    "reps": "replications",
+    "dt": "dt",
+    "cycles": "cycles_max",
+    "tol": "tol",
+}
+
+
+def scenario_from_args(args: argparse.Namespace):
+    """Load and validate ``args.scenario``, then set the field of each flag given.
+
+    A flag's value is checked only by the engine that reads its field.
+    """
+    values = {field: getattr(args, flag, None) for flag, field in _RUN_FLAGS.items()}
+    given = {field: v for field, v in values.items() if v is not None}
+    return replace(load_scenario(args.scenario), **given)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -65,25 +87,23 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = synth_spec_from_dict(read_yaml(args.spec))
+    doc = read_yaml(args.spec)
     if args.span is not None:
-        spec.span_days = args.span
-        spec.validate()
+        doc["span_days"] = args.span
+    spec = synth_spec_from_dict(doc)
     n = generate_synthetic(spec, args.seed, args.out)
     print(f"wrote {n} rows to {args.out}")
     return 0
 
 
 def _cmd_des(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = scenario.seed if args.seed is None else args.seed
-    horizon = scenario.horizon if args.horizon is None else args.horizon
-    reps = scenario.replications if args.reps is None else args.reps
+    scenario = scenario_from_args(args)
     # the sink creates --out before the first replication and writes each
     # replication's log as soon as it ends
-    sink = des_log_sink(Path(args.out), reps) if args.out else None
+    sink = des_log_sink(Path(args.out), scenario.replications) if args.out else None
     stats = run_des_replicated(
-        scenario.des, None, seed=seed, horizon=horizon, replications=reps, log_sink=sink
+        scenario.des, seed=scenario.seed, horizon=scenario.horizon,
+        replications=scenario.replications, log_sink=sink,
     )
     if sink is not None:
         for p in emit_des_report(stats, sink.out_dir, log_sink=sink):
@@ -97,10 +117,8 @@ def _cmd_des(args) -> int:
 
 
 def _cmd_sd(args) -> int:
-    scenario = load_scenario(args.scenario)
-    horizon = scenario.horizon if args.horizon is None else args.horizon
-    dt = scenario.dt if args.dt is None else args.dt
-    traj = run_sd(scenario.sd_initial, scenario.sd_params, horizon, dt)
+    scenario = scenario_from_args(args)
+    traj = run_sd(scenario.sd_initial, scenario.sd_params, scenario.horizon, scenario.dt)
     if args.out:
         for p in emit_sd_report(traj, Path(args.out)):
             print(p)
@@ -113,17 +131,11 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_hybrid(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = scenario_from_args(args)
     # the sink creates --out before the first cycle and writes each cycle's
     # log as soon as its event-model run ends
     sink = hybrid_log_sink(Path(args.out)) if args.out else None
-    report = run_hybrid(
-        scenario,
-        cycles_max=args.cycles,
-        seed=args.seed,
-        tol=args.tol,
-        log_sink=sink,
-    )
+    report = run_hybrid(scenario, log_sink=sink)
     if sink is not None:
         for p in emit_hybrid_report(report, sink.out_dir, log_sink=sink):
             print(p)

@@ -125,10 +125,6 @@ class WorkItem:
         self.total_queue_days = 0.0
         self._queue_entered: float | None = None
 
-    @property
-    def in_queue(self) -> bool:
-        return self._queue_entered is not None
-
 
 @dataclass
 class Engineer:
@@ -197,9 +193,6 @@ class WorkQueue:
     # the engine reads .size; perfbench's tracer reads this for domain.queue.peak_len
     def __len__(self) -> int:
         return self.size
-
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._index
 
     def push(self, item: WorkItem, now: float) -> None:
         if item.id in self._index:

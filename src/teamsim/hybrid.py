@@ -158,16 +158,14 @@ class HybridReport:
 
 def run_hybrid(
     scenario,
-    cycles_max: int | None = None,
-    seed: int | None = None,
-    tol: float | None = None,
     log_sink: Callable[[int, list[EventRecord]], None] | None = None,
 ) -> HybridReport:
-    """Run the coupled procedure for up to ``cycles_max`` cycles.
+    """Run the coupled procedure for up to ``scenario.cycles_max`` cycles.
 
-    Cycle k >= 1 runs with the modifiers cycle k - 1 fed back, and the run
-    stops early, ``converged``, once its own output differs from them by
-    less than ``tol`` (largest relative component change).
+    Validates the whole scenario first.  Cycle k >= 1 runs with the
+    modifiers cycle k - 1 fed back, and the run stops early, ``converged``,
+    once its own output differs from them by less than ``scenario.tol``
+    (largest relative component change).
     Each cycle's event model is one ``run_des_replicated`` replication, so
     its log is handled as a replication's is: collected only for a
     ``log_sink``, handed to it as soon as the run ends, and not kept; the
@@ -176,12 +174,6 @@ def run_hybrid(
     interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends the run with a
     ``ConfigurationError``.
     """
-    scenario = replace(
-        scenario,
-        cycles_max=scenario.cycles_max if cycles_max is None else cycles_max,
-        seed=scenario.seed if seed is None else seed,
-        tol=scenario.tol if tol is None else tol,
-    )
     scenario.validate()
 
     modifiers = DesModifiers()

@@ -106,6 +106,12 @@ class IngestResult:
 
 
 def _parse_row(row: dict) -> TicketRecord:
+    # csv.DictReader files the fields past the header's under the key None
+    # and sets the keys past a short row's last field to None
+    n_header = len(row) - (None in row)
+    n_fields = n_header - list(row.values()).count(None) + len(row.get(None, ()))
+    if n_fields != n_header:
+        raise DataError(f"expected {n_header} fields, got {n_fields}")
     try:
         opened = datetime.fromisoformat(row["opened_at"].strip())
     except ValueError:

@@ -116,7 +116,7 @@ class SdParams:
 
 @dataclass(frozen=True)
 class SdAux:
-    """Auxiliary (algebraic) variables evaluated on a state."""
+    """Auxiliary (algebraic) variables; its fields name the trajectory's auxiliary columns."""
 
     work_pressure: float
     stop_rate: float
@@ -135,10 +135,8 @@ _state_values = attrgetter(*_STATE_FIELDS)
 
 # The model equations, written once on plain floats.  ``run_sd`` steps on
 # tuples that hold the fields in SdState and SdAux order and keeps them as
-# the trajectory's columns; ``auxiliaries`` and ``sd_step`` wrap the same
-# functions for one SdState, as the per-equation tests call them.  The
-# comparisons written out pick the value ``max(c, x)`` and ``min(x, c)``
-# return, NaN included.
+# the trajectory's columns.  The comparisons written out pick the value
+# ``max(c, x)`` and ``min(x, c)`` return, NaN included.
 
 
 def _aux_values(state: tuple[float, ...], params: SdParams) -> tuple[float, ...]:
@@ -239,18 +237,6 @@ def _step_values(
         mgmt if mgmt > 0.0 else 0.0,
     )
     return new, clamped
-
-
-def auxiliaries(state: SdState, params: SdParams) -> SdAux:
-    return SdAux(*_aux_values(_state_values(state), params))
-
-
-def sd_step(state: SdState, params: SdParams, dt: float) -> SdState:
-    """Advance the model by one explicit Euler step of size dt."""
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    values = _state_values(state)
-    return SdState(*_step_values(values, _aux_values(values, params), params, dt)[0])
 
 
 @dataclass

@@ -22,6 +22,7 @@ C9  synthetic corpus round-trips through ingestion and rate fitting
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 from teamsim.des import DesModifiers, merge_stats, run_des
 from teamsim.domain import Priority
@@ -173,7 +174,7 @@ def test_c5_closing_the_loop_degrades_service():
     wins = {"stops": 0, "p2_slower": 0, "p3_fewer": 0, "rework": 0}
     figures = []
     for seed in range(1, 11):
-        report = run_hybrid(sc, cycles_max=3, seed=seed, tol=1e-12)
+        report = run_hybrid(replace(sc, cycles_max=3, seed=seed, tol=1e-12))
         base = report.cycles[0].des_stats
         final = report.cycles[-1].des_stats
         p2_base, _ = base.pooled_completion_days(Priority.P2)
@@ -253,7 +254,9 @@ def test_c6_integrator_accuracy():
 def test_c7_zero_gain_identity_fixed_point():
     sc = zero_gain_scenario()
     logs = []
-    report = run_hybrid(sc, cycles_max=3, tol=1e-12, log_sink=lambda k, log: logs.append(log))
+    report = run_hybrid(
+        replace(sc, cycles_max=3, tol=1e-12), log_sink=lambda k, log: logs.append(log)
+    )
     identity = all(rec.modifiers_out == DesModifiers() for rec in report.cycles)
     matches = True
     # strict: a cycle whose log never reached the sink fails the check

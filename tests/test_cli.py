@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tomllib
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,13 @@ import teamsim.sd
 from teamsim import cli
 from teamsim.des import MAX_DES_DAYS
 from teamsim.errors import ConfigurationError
-from teamsim.io.scenario import default_scenario, load_scenario, save_scenario, scenario_to_dict
+from teamsim.io.scenario import (
+    Scenario,
+    default_scenario,
+    load_scenario,
+    save_scenario,
+    scenario_to_dict,
+)
 
 from test_golden import GOLDEN, _files_sha
 from test_io import TOY_CSV
@@ -439,6 +446,37 @@ class TestHybridCommand:
         assert res.returncode == 1
         assert "interrupt_rate" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+class TestRunFlags:
+    """Each run-setting flag sets one Scenario field, by one rule."""
+
+    def test_each_flag_names_a_scenario_field(self):
+        assert set(cli._RUN_FLAGS.values()) <= {f.name for f in fields(Scenario)}
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("des", {"seed": "7", "horizon": "40", "reps": "2"}),
+            ("sd", {"horizon": "40", "dt": "0.5"}),
+            ("hybrid", {"cycles": "2", "tol": "1e-9", "seed": "4"}),
+        ],
+    )
+    def test_a_flag_runs_as_its_field_override(self, monkeypatch, capsys, command, flags):
+        argv = [command, "default"]
+        for flag, value in flags.items():
+            argv += [f"--{flag}", value]
+        assert cli.main(argv) == 0
+        by_flags = capsys.readouterr().out
+        for flag, value in flags.items():
+            monkeypatch.setenv(f"TEAMSIM_{cli._RUN_FLAGS[flag].upper()}", value)
+        assert cli.main([command, "default"]) == 0
+        assert capsys.readouterr().out == by_flags
+        # the flags moved the run off the scenario's own settings
+        for flag in flags:
+            monkeypatch.delenv(f"TEAMSIM_{cli._RUN_FLAGS[flag].upper()}")
+        assert cli.main([command, "default"]) == 0
+        assert capsys.readouterr().out != by_flags
 
 
 class TestCliSurface:

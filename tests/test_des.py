@@ -363,7 +363,7 @@ class TestSingleItemArithmetic:
         items = [make_initial(0, 8.0), make_initial(1, 8.0, Priority.P1), make_initial(2, 8.0)]
         first = run_des(quiet_config(), seed=1, horizon=1.5, initial_items=items)
         for item in items:
-            assert not item.in_queue and item.total_queue_days == 0.0
+            assert item._queue_entered is None and item.total_queue_days == 0.0
             assert item.remaining_service_hours == item.service_demand_hours
         second = run_des(quiet_config(), seed=1, horizon=1.5, initial_items=items)
         assert first[1] == second[1]

@@ -83,7 +83,7 @@ class TestWorkItem:
     def test_remaining_defaults_to_demand(self):
         item = make_item(1, demand=6.5)
         assert item.remaining_service_hours == 6.5
-        assert item.total_queue_days == 0.0 and not item.in_queue
+        assert item.total_queue_days == 0.0 and item._queue_entered is None
 
     # queue episodes open on WorkQueue.push and close on pop_best or remove
 
@@ -91,12 +91,12 @@ class TestWorkItem:
         item = make_item(1)
         q = WorkQueue()
         q.push(item, now=1.0)
-        assert item.in_queue
+        assert item._queue_entered == 1.0
         q.pop_best(3.5)
         q.push(item, now=4.0)
         q.remove(1, now=4.0)
         assert item.total_queue_days == pytest.approx(2.5)
-        assert not item.in_queue
+        assert item._queue_entered is None
 
     def test_double_enter_is_structural(self):
         item = make_item(1)
@@ -163,7 +163,7 @@ class TestWorkQueue:
         q.push(make_item(2, Priority.P3), now=0.0)
         removed = q.remove(1, now=1.0)
         assert removed.id == 1
-        assert 1 not in q
+        assert [i.id for i in q.items()] == [2]
         assert q.pop_best(2.0).id == 2
         assert q.pop_best(2.0) is None
 
@@ -227,7 +227,7 @@ def test_queue_drains_sorted_and_conserves(specs):
     keys = [queue_key(i) for i in drained]
     assert keys == sorted(keys)
     # every episode was closed by the pop
-    assert all(not i.in_queue for i in drained)
+    assert all(i._queue_entered is None for i in drained)
     assert q.size == 0
 
 
@@ -292,7 +292,7 @@ def test_queue_matches_sorted_reference(ops):
     def left_queue(item, now):
         # the item's episode is closed and summed exactly as the queue sums it
         queue_days[item.id] += now - entered.pop(item.id)
-        assert not item.in_queue
+        assert item._queue_entered is None
         assert item.total_queue_days == queue_days[item.id]
         del live[item.id]
         left.append(item)
@@ -335,7 +335,7 @@ def test_queue_matches_sorted_reference(ops):
         for item in live.values():
             counts[item.priority] += 1
         assert q.priority_counts == counts
-        assert all(item.in_queue for item in live.values())
+        assert all(item._queue_entered == entered[i] for i, item in live.items())
         assert sorted(i.id for i in q.items()) == sorted(live)
     now = float(len(ops))
     while live:

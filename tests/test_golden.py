@@ -16,7 +16,7 @@ algorithm changed in Python 3.12, so they may differ elsewhere.
 """
 import hashlib
 import json
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import pytest
 
@@ -174,7 +174,9 @@ def _digest(name: str, tmp_path) -> str:
         logs.append(log)
         sink(k, log)
 
-    report = run_hybrid(default_scenario(), cycles_max=2, tol=1e-12, log_sink=keep_and_write)
+    report = run_hybrid(
+        replace(default_scenario(), cycles_max=2, tol=1e-12), log_sink=keep_and_write
+    )
     emit_hybrid_report(report, tmp_path, log_sink=sink)
     if name == "hybrid-cycles-json":
         return hashlib.sha256((tmp_path / "cycles.json").read_bytes()).hexdigest()

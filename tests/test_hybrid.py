@@ -151,7 +151,7 @@ class TestModifierChange:
 class TestRunHybrid:
     def test_single_cycle_report_shape(self):
         sc = default_scenario()
-        report = run_hybrid(sc, cycles_max=1)
+        report = run_hybrid(replace(sc, cycles_max=1))
         assert report.n_cycles == 1
         assert not report.converged
         rec = report.cycles[0]
@@ -162,14 +162,14 @@ class TestRunHybrid:
     def test_cycle_seeds_differ(self):
         sc = default_scenario()
         logs = []
-        run_hybrid(sc, cycles_max=2, log_sink=lambda k, log: logs.append(log))
+        run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: logs.append(log))
         assert len(logs) == 2 and logs[0] != logs[1]
 
     def test_reproducible_from_scenario_seed(self):
         sc = default_scenario()
         l1, l2 = [], []
-        r1 = run_hybrid(sc, cycles_max=2, log_sink=lambda k, log: l1.append(log))
-        r2 = run_hybrid(sc, cycles_max=2, log_sink=lambda k, log: l2.append(log))
+        r1 = run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: l1.append(log))
+        r2 = run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: l2.append(log))
         assert len(l1) == 2 and l1 == l2
         for a, b in zip(r1.cycles, r2.cycles, strict=True):
             assert a.des_stats.to_flat_dict() == b.des_stats.to_flat_dict()
@@ -177,7 +177,7 @@ class TestRunHybrid:
 
     def test_zero_gain_loop_is_identity_and_converges(self):
         sc = zero_gain_scenario()
-        report = run_hybrid(sc, cycles_max=3, tol=1e-12)
+        report = run_hybrid(replace(sc, cycles_max=3, tol=1e-12))
         assert report.converged
         for rec in report.cycles:
             assert rec.modifiers_out == DesModifiers()
@@ -187,7 +187,9 @@ class TestRunHybrid:
         # uncoupled run at seed + k
         sc = zero_gain_scenario()
         logs = []
-        report = run_hybrid(sc, cycles_max=2, tol=1e-12, log_sink=lambda k, log: logs.append(log))
+        report = run_hybrid(
+            replace(sc, cycles_max=2, tol=1e-12), log_sink=lambda k, log: logs.append(log)
+        )
         for rec, log in zip(report.cycles, logs, strict=True):
             _, solo = run_des(sc.des, seed=sc.seed + rec.index, horizon=sc.horizon)
             assert log == solo
@@ -196,7 +198,7 @@ class TestRunHybrid:
         # cycles.json reports each cycle's sd_summary, and the cycle's
         # modifiers come from exactly that summary
         sc = default_scenario()
-        report = run_hybrid(sc, cycles_max=3, tol=1e-12)
+        report = run_hybrid(replace(sc, cycles_max=3, tol=1e-12))
         assert report.n_cycles == 3
         for rec in report.cycles:
             params = apply_feedforward(sc.sd_params, rec.feed_forward, sc.sd_initial)
@@ -206,9 +208,9 @@ class TestRunHybrid:
     def test_rejects_bad_cycle_count_and_tol(self):
         sc = default_scenario()
         with pytest.raises(ConfigurationError):
-            run_hybrid(sc, cycles_max=0)
+            run_hybrid(replace(sc, cycles_max=0))
         with pytest.raises(ConfigurationError):
-            run_hybrid(sc, cycles_max=1, tol=0.0)
+            run_hybrid(replace(sc, cycles_max=1, tol=0.0))
 
 
 class TestDailyMeans:

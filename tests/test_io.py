@@ -151,6 +151,9 @@ class TestIngest:
              "touch_hours must be finite and >= 0, got -1.0"),
             ("2025-03-01T09:00:00,,bug,P1,team-core,1.0", "unknown work type label: 'bug'"),
             ("2025-03-01T09:00:00,,incident,P9,team-core,1.0", "unknown priority label: 'P9'"),
+            # a comma in assignment_group shifts the fields after it
+            ("2025-03-01T09:00:00,,incident,P1,team,core,1.0", "expected 6 fields, got 7"),
+            ("2025-01-02T00:00:00", "expected 6 fields, got 1"),
         ],
     )
     def test_each_bad_field_is_a_row_error(self, tmp_path, row, reason):
@@ -309,7 +312,7 @@ class TestReportEmission:
     def test_hybrid_report_files(self, tmp_path):
         sc = default_scenario()
         sink = hybrid_log_sink(tmp_path)
-        report = run_hybrid(sc, cycles_max=2, log_sink=sink)
+        report = run_hybrid(dataclasses.replace(sc, cycles_max=2), log_sink=sink)
         written = emit_hybrid_report(report, tmp_path, log_sink=sink)
         names = {p.name for p in written}
         assert "cycles.json" in names
@@ -344,7 +347,10 @@ class TestLogSink:
         # replication returns; TestNothingOutlivesItsRun checks none is kept
         sc = default_scenario()
         got = []
-        report = run_hybrid(sc, cycles_max=2, tol=1e-12, log_sink=lambda k, log: got.append((k, log)))
+        report = run_hybrid(
+            dataclasses.replace(sc, cycles_max=2, tol=1e-12),
+            log_sink=lambda k, log: got.append((k, log)),
+        )
         ref = [
             (rec.index, run_des(sc.des, rec.modifiers_in, sc.seed + rec.index, sc.horizon)[1])
             for rec in report.cycles
@@ -376,7 +382,7 @@ class TestLogSink:
             for gen in sc.des.generators:
                 gen.daily_rate = 0.0
             sink = hybrid_log_sink(tmp_path)
-            report = run_hybrid(sc, cycles_max=1, log_sink=sink)
+            report = run_hybrid(dataclasses.replace(sc, cycles_max=1), log_sink=sink)
             written = emit_hybrid_report(report, tmp_path, log_sink=sink)
             expected = ["cycles.json", "diff_p1.csv", "diff_p2.csv", "diff_p3.csv"]
         assert sink.paths == [] and not list(tmp_path.glob("eventlog*"))
@@ -424,7 +430,10 @@ class TestNothingOutlivesItsRun:
         sc.horizon = 30.0
         refs, starts = self._watch(monkeypatch, sd_module=teamsim.hybrid)
         sizes = []
-        report = run_hybrid(sc, cycles_max=3, tol=1e-12, log_sink=lambda k, log: sizes.append(len(log)))
+        report = run_hybrid(
+            dataclasses.replace(sc, cycles_max=3, tol=1e-12),
+            log_sink=lambda k, log: sizes.append(len(log)),
+        )
         assert report.n_cycles == 3 and all(sizes)
         # runs alternate: cycle k's event model, then its flow model
         assert [len(s) for s in starts] == [0, 1, 2, 3, 4, 5]

@@ -26,13 +26,24 @@ from teamsim.sd import (
     SdAux,
     SdParams,
     SdState,
+    _aux_values,
     _check_finite,
-    auxiliaries,
+    _step_values,
     mass_residuals,
     run_sd,
-    sd_step,
     sd_step_count,
 )
+
+
+def aux_of(state: SdState, params: SdParams) -> SdAux:
+    """The kernel's auxiliaries of one state."""
+    return SdAux(*_aux_values(dataclasses.astuple(state), params))
+
+
+def step_of(state: SdState, params: SdParams, dt: float) -> SdState:
+    """The state one kernel step of size dt after ``state``."""
+    values = dataclasses.astuple(state)
+    return SdState(*_step_values(values, _aux_values(values, params), params, dt)[0])
 
 
 def inert_params(**overrides) -> SdParams:
@@ -132,8 +143,8 @@ class TestValidation:
 
     def test_step_rejects_bad_dt(self):
         for dt in (0.0, -0.5, float("inf")):
-            with pytest.raises(ConfigurationError):
-                sd_step(BUSY_INIT, busy_params(), dt)
+            with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+                run_sd(BUSY_INIT, busy_params(), 10.0, dt)
 
     def test_step_count_is_bounded_before_any_step(self, monkeypatch):
         def no_step(*args):
@@ -150,34 +161,34 @@ class TestValidation:
 class TestAuxiliaries:
     def test_work_pressure_is_backlog_over_desired(self):
         state = SdState(project_backlog=40.0, ops_backlog=20.0)
-        aux = auxiliaries(state, busy_params(desired_backlog=30.0))
+        aux = aux_of(state, busy_params(desired_backlog=30.0))
         assert aux.work_pressure == pytest.approx(2.0)
 
     def test_stop_rate_rises_with_pressure(self):
         params = busy_params(s_base=0.05, k_pressure_stop=0.5, k_assist=0.25)
-        calm = auxiliaries(SdState(), params)
-        tense = auxiliaries(SdState(mgmt_pressure=2.0), params)
+        calm = aux_of(SdState(), params)
+        tense = aux_of(SdState(mgmt_pressure=2.0), params)
         assert calm.stop_rate == pytest.approx(0.05)
         assert tense.stop_rate == pytest.approx(0.05 * (1.0 + 0.25 * 2.0))
 
     def test_error_fraction_scales_with_fatigue(self):
         params = busy_params(base_error_frac=0.05, k_fatigue_error=2.0)
-        aux = auxiliaries(SdState(fatigue=0.5), params)
+        aux = aux_of(SdState(fatigue=0.5), params)
         assert aux.error_frac == pytest.approx(0.10)
 
     def test_error_fraction_capped(self):
         params = busy_params(base_error_frac=0.5, k_fatigue_error=10.0)
-        aux = auxiliaries(SdState(fatigue=5.0), params)
+        aux = aux_of(SdState(fatigue=5.0), params)
         assert aux.error_frac == 0.95
 
     def test_productivity_floor(self):
         params = busy_params(k_fatigue_prod=5.0)
-        aux = auxiliaries(SdState(fatigue=10.0), params)
+        aux = aux_of(SdState(fatigue=10.0), params)
         assert aux.productivity == pytest.approx(0.1)
 
     def test_completion_rates_use_wip_and_productivity(self):
         params = inert_params(k_switch=0.0)
-        aux = auxiliaries(SdState(project_wip=16.0, ops_wip=8.0), params)
+        aux = aux_of(SdState(project_wip=16.0, ops_wip=8.0), params)
         assert aux.completion_project == pytest.approx(2.0)  # 16 / 8 days
         assert aux.completion_ops == pytest.approx(2.0)  # 8 / 4 days
 
@@ -185,51 +196,51 @@ class TestAuxiliaries:
 class TestStepMechanics:
     def test_arrivals_accumulate_in_backlog(self):
         params = inert_params(project_arrivals=2.0, ops_arrivals=3.0)
-        state = sd_step(SdState(), params, 0.5)
+        state = step_of(SdState(), params, 0.5)
         assert state.project_backlog == pytest.approx(1.0)
         assert state.ops_backlog == pytest.approx(1.5)
 
     def test_pickup_respects_capacity_and_effort(self):
         # 16 h/day over 4 h items picks up 4 items/day from the ops side
         params = inert_params(team_capacity_hours=16.0)
-        state = sd_step(SdState(ops_backlog=30.0), params, 0.25)
+        state = step_of(SdState(ops_backlog=30.0), params, 0.25)
         assert state.ops_wip == pytest.approx(1.0)
         assert state.ops_backlog == pytest.approx(29.0)
 
     def test_pickup_cannot_overdraw_backlog(self):
         params = inert_params(team_capacity_hours=1000.0)
-        state = sd_step(SdState(ops_backlog=2.0), params, 0.25)
+        state = step_of(SdState(ops_backlog=2.0), params, 0.25)
         assert state.ops_backlog == pytest.approx(0.0)
         assert state.ops_wip == pytest.approx(2.0)
 
     def test_capacity_splits_by_backlog_ratio(self):
         params = inert_params(team_capacity_hours=16.0, project_effort_hours=8.0)
-        state = sd_step(SdState(project_backlog=30.0, ops_backlog=10.0), params, 0.25)
+        state = step_of(SdState(project_backlog=30.0, ops_backlog=10.0), params, 0.25)
         # 12 h to project (1.5 items/day), 4 h to ops (1 item/day)
         assert state.project_wip == pytest.approx(1.5 * 0.25)
         assert state.ops_wip == pytest.approx(1.0 * 0.25)
 
     def test_completed_excludes_rework_fraction(self):
         params = inert_params(base_error_frac=0.2, ops_completion_days=4.0)
-        state = sd_step(SdState(ops_wip=8.0), params, 0.25)
+        state = step_of(SdState(ops_wip=8.0), params, 0.25)
         # completion 2/day: 80% lands in completed, 20% in the rework pool
         assert state.ops_completed == pytest.approx(0.8 * 2.0 * 0.25)
         assert state.rework_pool == pytest.approx(0.2 * 2.0 * 0.25)
 
     def test_project_rework_returns_to_its_backlog(self):
         params = inert_params(base_error_frac=0.25, project_completion_days=8.0)
-        state = sd_step(SdState(project_wip=16.0), params, 0.25)
+        state = step_of(SdState(project_wip=16.0), params, 0.25)
         assert state.project_backlog == pytest.approx(0.25 * 2.0 * 0.25)
 
     def test_rework_pool_drains_to_ops_backlog(self):
         params = inert_params(tau_rework=10.0)
-        state = sd_step(SdState(rework_pool=5.0), params, 0.5)
+        state = step_of(SdState(rework_pool=5.0), params, 0.5)
         assert state.rework_pool == pytest.approx(5.0 - 0.25)
         assert state.ops_backlog == pytest.approx(0.25)
 
     def test_exogenous_rework_inflow_feeds_pool(self):
         params = inert_params(rework_inflow=0.8)
-        state = sd_step(SdState(), params, 0.5)
+        state = step_of(SdState(), params, 0.5)
         assert state.rework_pool == pytest.approx(0.4)
 
 
@@ -314,7 +325,7 @@ class TestTrajectories:
 
     def test_finiteness_check_names_a_nan_auxiliary(self):
         # the check takes the float tuples the integrator steps on
-        aux = dataclasses.replace(auxiliaries(BUSY_INIT, busy_params()), stop_rate=float("nan"))
+        aux = dataclasses.replace(aux_of(BUSY_INIT, busy_params()), stop_rate=float("nan"))
         msg = "non-finite value in auxiliary 'stop_rate' at t=1.250000"
         with pytest.raises(EngineError, match=f"^{re.escape(msg)}$"):
             _check_finite(dataclasses.astuple(BUSY_INIT), dataclasses.astuple(aux), 1.25)
@@ -323,7 +334,7 @@ class TestTrajectories:
         huge = dataclasses.replace(
             BUSY_INIT, project_completed=1e308, ops_completed=1e308, rework_pool=1e308
         )
-        aux = auxiliaries(BUSY_INIT, busy_params())
+        aux = aux_of(BUSY_INIT, busy_params())
         assert not math.isfinite(sum(dataclasses.astuple(huge)))
         _check_finite(dataclasses.astuple(huge), dataclasses.astuple(aux), 0.0)
 
@@ -542,11 +553,11 @@ _CLAMPING = busy_params(ops_completion_days=0.05, project_completion_days=0.05, 
 @example(state=BUSY_INIT, params=_CLAMPING, dt=0.25)
 def test_float_kernel_matches_object_reference(state, params, dt):
     aux = _ref_auxiliaries(state, params)
-    assert _bits(dataclasses.astuple(auxiliaries(state, params))) == _bits(
+    assert _bits(dataclasses.astuple(aux_of(state, params))) == _bits(
         dataclasses.astuple(aux)
     )
     want, _ = _ref_step(state, params, dt, aux)
-    assert _bits(dataclasses.astuple(sd_step(state, params, dt))) == _bits(
+    assert _bits(dataclasses.astuple(step_of(state, params, dt))) == _bits(
         dataclasses.astuple(want)
     )
     # a short run: every recorded column, the times and the clamp count
