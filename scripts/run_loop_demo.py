@@ -11,7 +11,6 @@ in completed low-priority items.
 """
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from teamsim.cli import console_main, scenario_from_args
@@ -26,9 +25,11 @@ def main() -> int:
     ap.add_argument("--cycles", type=int, default=3)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out", default="results/loop_demo")
+    # a fixed tolerance, so the loop runs every cycle asked for
+    ap.set_defaults(tol=1e-12)
     args = ap.parse_args()
 
-    sc = replace(scenario_from_args(args), tol=1e-12)
+    sc = scenario_from_args(args)
     # each cycle's log is written as soon as its event-model run ends
     sink = hybrid_log_sink(Path(args.out))
     report = run_hybrid(sc, log_sink=sink)

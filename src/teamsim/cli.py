@@ -4,15 +4,16 @@ Subcommands: fit, synth, des, sd, hybrid, validate.  Scenario arguments
 take a YAML path or the literal name ``default`` for the built-in
 overloaded-team scenario; environment variables prefixed ``TEAMSIM_``
 override scenario fields either way, and run-setting flags set them after
-the overrides.  Exit codes: 0 success, 1 bad configuration or data, 2
-unreadable or missing input, 3 engine failure.
+the overrides.  The whole scenario is then checked once, by one rule for
+every source, before a command writes anything.  Exit codes: 0 success, 1
+bad configuration or data, 2 unreadable or missing input, 3 engine failure.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -56,13 +57,15 @@ _RUN_FLAGS = {
 
 
 def scenario_from_args(args: argparse.Namespace):
-    """Load and validate ``args.scenario``, then set the field of each flag given.
+    """Load ``args.scenario`` with each run-setting flag given as its field.
 
-    A flag's value is checked only by the engine that reads its field.
+    The flags go into the scenario document after the ``TEAMSIM_*``
+    overrides, so a flag's value is read and validated with every other
+    value, by the same rule as its variable.
     """
     values = {field: getattr(args, flag, None) for flag, field in _RUN_FLAGS.items()}
     given = {field: v for field, v in values.items() if v is not None}
-    return replace(load_scenario(args.scenario), **given)
+    return load_scenario(args.scenario, settings=given)
 
 
 def _fmt(x: float) -> str:
@@ -98,7 +101,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_des(args) -> int:
     scenario = scenario_from_args(args)
-    # the sink creates --out before the first replication and writes each
+    # the scenario is settled, so a rejected run writes nothing; the sink
+    # creates --out before the first replication and writes each
     # replication's log as soon as it ends
     sink = des_log_sink(Path(args.out), scenario.replications) if args.out else None
     stats = run_des_replicated(
@@ -155,7 +159,7 @@ def _cmd_hybrid(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = scenario_from_args(args)
     print(f"ok: {scenario.name}")
     return 0
 

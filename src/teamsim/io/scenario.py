@@ -5,15 +5,19 @@ event-model knobs, the flow-model parameters and initial stocks, and the
 run controls (seed, horizon, replications, step size, coupling limits).
 Any scalar can be overridden from the environment: variables named
 ``TEAMSIM_<path>`` are applied onto the document before validation, with
-``__`` separating nesting levels and list indices given numerically, e.g.
+``__`` separating nesting levels, e.g.
 
     TEAMSIM_SEED=7
     TEAMSIM_DES__BASE_ERROR_PROB=0.1
     TEAMSIM_GENERATORS__0__DAILY_RATE=2.5
 
-Values are parsed as YAML.  Each value, from the file or the environment,
-is then read by its field's declared type (see ``records``), so a value of
-the wrong kind is a ``ConfigurationError`` naming its key path.
+No segment may be empty, and one that indexes a list is ASCII decimal
+digits naming an item; any other path is ``<VAR>: bad override path``.
+Values are parsed as YAML.  The ``settings`` of ``load_scenario`` (the
+command line's flags) go in after the overrides.  Each value, from any
+source, is then read by its field's declared type (see ``records``), so a
+value of the wrong kind is a ``ConfigurationError`` naming its key path,
+and the whole scenario is validated once.
 """
 from __future__ import annotations
 
@@ -51,10 +55,10 @@ class Scenario:
         self.des.validate()
         self.sd_params.validate()
         self.sd_initial.validate()
-        # a positive, finite horizon, a dt in (0, horizon], a bounded
-        # flow-model step count and a bounded number of event-model days
-        sd_step_count(self.horizon, self.dt)
+        # a positive, finite horizon, a bounded number of event-model days,
+        # a dt in (0, horizon] and a bounded flow-model step count
         des_day_count(self.horizon)
+        sd_step_count(self.horizon, self.dt)
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if self.cycles_max < 1:
@@ -112,36 +116,46 @@ def apply_env_overrides(doc: dict, env: Mapping[str, str] | None = None) -> dict
         except yaml.YAMLError:
             raise ConfigurationError(f"{key}: cannot parse value {env[key]!r}") from None
         node: object = doc
-        try:
-            for part in path[:-1]:
-                if isinstance(node, list):
-                    node = node[int(part)]
-                else:
-                    node = node.setdefault(part, {})
-            last = path[-1]
-            if isinstance(node, list):
-                node[int(last)] = value
-            elif isinstance(node, dict):
-                node[last] = value
+        for depth, part in enumerate(path, 1):
+            if isinstance(node, dict) and part:
+                slot: object = part
+            elif (
+                isinstance(node, list) and part.isascii() and part.isdigit()
+                and int(part) < len(node)
+            ):
+                slot = int(part)
             else:
-                raise ConfigurationError(f"{key}: path does not address a field")
-        except (ValueError, IndexError, AttributeError):
-            raise ConfigurationError(f"{key}: bad override path") from None
+                raise ConfigurationError(f"{key}: bad override path")
+            if depth == len(path):
+                node[slot] = value
+            elif isinstance(node, dict):
+                node = node.setdefault(slot, {})
+            else:
+                node = node[slot]
     return doc
 
 
-def load_scenario(path: str | Path, env: Mapping[str, str] | None = None) -> Scenario:
-    """Load a scenario, apply environment overrides, and validate.
+def load_scenario(
+    path: str | Path,
+    env: Mapping[str, str] | None = None,
+    settings: Mapping[str, object] | None = None,
+) -> Scenario:
+    """Load a scenario, apply environment overrides and settings, and validate.
 
     ``path`` is a YAML file, or the literal name ``default`` for the
     built-in scenario, which is written out as a document first, so the
     ``TEAMSIM_*`` overrides apply to either source the same way.
+    ``settings`` maps top-level fields, such as ``horizon``, to values that
+    replace the document's after the overrides; they are read and validated
+    with every other value.
     """
     if path == "default":
         doc = scenario_to_dict(default_scenario())
     else:
         doc = read_yaml(path)
-    return scenario_from_dict(apply_env_overrides(doc, env), name=Path(path).stem)
+    doc = apply_env_overrides(doc, env)
+    doc.update(settings or {})
+    return scenario_from_dict(doc, name=Path(path).stem)
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

@@ -301,7 +301,7 @@ def sd_step_count(horizon: float, dt: float) -> int:
     # is false for an overflow to inf
     if not steps <= MAX_SD_STEPS:
         raise ConfigurationError(
-            f"horizon {horizon:g} at dt {dt:g} needs {steps:.3g} flow-model steps, "
+            f"horizon {horizon!r} at dt {dt!r} needs {steps:.3g} flow-model steps, "
             f"more than the {MAX_SD_STEPS} allowed"
         )
     return math.ceil(steps)

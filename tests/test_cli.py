@@ -10,10 +10,11 @@ import tomllib
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import teamsim.sd
 from teamsim import cli
@@ -288,6 +289,47 @@ class TestMalformedValues:
         assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
 
 
+# override path segments: real keys, an empty segment, signed, underscored
+# and out-of-range indices, and a segment past a scalar (seed, name, id)
+_OVERRIDE_SEGMENTS = [
+    "seed", "horizon", "name", "engineers", "generators", "des", "sd", "sd_initial",
+    "id", "daily_rate", "skill_mix", "p", "priority_mix", "base_error_prob", "s_base",
+    "", "0", "1", "2", "-1", "-5", "+0", "1_0", "99", " 0", "x",
+]
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    segments=st.lists(st.sampled_from(_OVERRIDE_SEGMENTS), min_size=1, max_size=5),
+    value=st.sampled_from(["1", "0.5", "abc", "[]", "{}", "null"]),
+)
+@example(segments=["engineers", "-1", "id"], value="9")
+@example(segments=[""], value="1")
+@example(segments=["sd", ""], value="1")
+@example(segments=["generators", "+0", "daily_rate"], value="1")
+@example(segments=["generators", "1_0", "daily_rate"], value="1")
+def test_any_override_path_exits_cleanly(capsys, segments, value):
+    # an exception escaping main() fails the test
+    var = "TEAMSIM_" + "__".join(segments).upper()
+    with mock.patch.dict(os.environ, {var: value}):
+        rc = cli.main(["validate", "default"])
+    lines = capsys.readouterr().err.splitlines()
+    assert (rc, lines) == (0, []) or (
+        rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+    ), (rc, lines)
+    # an empty segment, or a list index that is not decimal digits naming
+    # one of the default's four engineers or three generators
+    bad_index = (
+        segments[0] in ("engineers", "generators")
+        and len(segments) > 1
+        and segments[1] not in ("0", "1", "2")
+    )
+    if "" in segments or bad_index:
+        assert lines == [f"error: {var}: bad override path"]
+
+
 class TestDesCommand:
     def test_prints_summary_by_default(self):
         res = run_cli("des", "default", "--horizon", "20")
@@ -449,7 +491,9 @@ class TestHybridCommand:
 
 
 class TestRunFlags:
-    """Each run-setting flag sets one Scenario field, by one rule."""
+    """Each run-setting flag sets one Scenario field: it goes into the
+    scenario document after the ``TEAMSIM_*`` overrides, so a flag and its
+    variable are one value, read and validated by one rule."""
 
     def test_each_flag_names_a_scenario_field(self):
         assert set(cli._RUN_FLAGS.values()) <= {f.name for f in fields(Scenario)}
@@ -477,6 +521,33 @@ class TestRunFlags:
             monkeypatch.delenv(f"TEAMSIM_{cli._RUN_FLAGS[flag].upper()}")
         assert cli.main([command, "default"]) == 0
         assert capsys.readouterr().out != by_flags
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("des", "horizon", "0.1"),
+            ("des", "horizon", str(MAX_DES_DAYS + 1)),
+            ("des", "reps", "0"),
+            ("hybrid", "cycles", "0"),
+            ("hybrid", "tol", "0"),
+            ("sd", "dt", "200"),
+        ],
+    )
+    def test_a_bad_setting_is_one_error_from_either_source(
+        self, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        # rejected before --out is created, with one message, and validate
+        # rejects what the run would
+        out = tmp_path / "out"
+        assert cli.main([command, "default", f"--{flag}", value, "--out", str(out)]) == 1
+        monkeypatch.setenv(f"TEAMSIM_{cli._RUN_FLAGS[flag].upper()}", value)
+        assert cli.main([command, "default", "--out", str(out)]) == 1
+        assert cli.main(["validate", "default"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 3 and lines[0].startswith("error: ") and set(lines) == {lines[0]}
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestCliSurface:

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import random
+import re
 import weakref
 from dataclasses import fields
 
@@ -35,6 +36,7 @@ from teamsim.io.scenario import (
     default_scenario,
     load_scenario,
     save_scenario,
+    scenario_to_dict,
 )
 from teamsim.io.tickets import (
     SynthClass,
@@ -662,6 +664,24 @@ class TestScenarioIO:
         doc = {"generators": [{"daily_rate": 1.0}]}
         with pytest.raises(ConfigurationError):
             apply_env_overrides(doc, {"TEAMSIM_GENERATORS__9__DAILY_RATE": "2.0"})
+
+    @pytest.mark.parametrize(
+        "var",
+        [
+            "TEAMSIM___SEED",
+            "TEAMSIM_ENGINEERS__\u00b2__ID",
+            "TEAMSIM_ENGINEERS__4__ID",
+            "TEAMSIM_SEED__X",
+            "TEAMSIM_SEED__X__Y",
+        ],
+    )
+    def test_env_override_bad_path_rejected(self, var):
+        # an empty segment, a list index that is not ASCII decimal digits
+        # naming an item (a superscript two is a digit to str.isdigit), or
+        # a segment past a scalar
+        doc = scenario_to_dict(default_scenario())
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(var)}: bad override path$"):
+            apply_env_overrides(doc, {var: "9"})
 
     def test_unknown_keys_rejected(self, tmp_path):
         p = tmp_path / "sc.yaml"

@@ -157,6 +157,10 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="flow-model steps"):
                 run_sd(BUSY_INIT, busy_params(), horizon, dt)
 
+    def test_step_bound_message_prints_the_values_given(self):
+        with pytest.raises(ConfigurationError, match=r"^horizon 999999\.5 at dt 0\.1234567 needs "):
+            sd_step_count(999_999.5, 0.1234567)
+
 
 class TestAuxiliaries:
     def test_work_pressure_is_backlog_over_desired(self):
