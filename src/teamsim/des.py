@@ -17,7 +17,8 @@ which is what the validation harness leans on.
 Conventions: the clock is in days, service demands in work-hours.  An
 engineer delivers ``hours_per_day * capacity_factor`` work-hours per
 elapsed day.  Event log records are ``(time, kind, item_id, engineer_id,
-detail)`` with engineer_id -1 when no engineer is involved.
+detail)`` with engineer_id -1 when no engineer is involved; an
+``EventLog`` holds them.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .domain import (
     Affinity,
@@ -317,6 +318,34 @@ class DesConfig:
                         raise ConfigurationError(
                             f"generator[{gen.work_type.value}]: unknown skill type {spec.skill_type!r}"
                         )
+
+
+class EventLog:
+    """One run's event records, held as five consecutive slots each.
+
+    ``slots`` is one flat list, ``(time, kind, item_id, engineer_id,
+    detail)`` after ``(time, kind, ...)``: a record costs its five list
+    slots and the objects they name, not a tuple as well, and the log is
+    one object for the cyclic GC to track, not one per record.  The engine
+    appends a record with ``slots.extend`` of its five values.  ``len``
+    counts records, and iterating yields each record as an ``EventRecord``
+    tuple, in the order they were made; that is the log's one reader.  Two
+    logs compare by identity, so to compare their records, compare
+    ``list(log)``.
+    """
+
+    __slots__ = ("slots",)
+
+    def __init__(self) -> None:
+        self.slots: list = []
+
+    def __len__(self) -> int:
+        return len(self.slots) // 5
+
+    def __iter__(self) -> Iterator[EventRecord]:
+        # one iterator zipped with itself takes five slots per tuple
+        it = iter(self.slots)
+        return zip(it, it, it, it, it)
 
 
 class EventCalendar:
@@ -703,7 +732,9 @@ class DesEngine:
         self.horizon = horizon
         self.rng = _random.Random(seed)
         self.calendar = EventCalendar()
-        self.log: list[EventRecord] | None = [] if collect_log else None
+        self.log = EventLog() if collect_log else None
+        # the one way a record is written: its five values, passed as a tuple
+        self._record = self.log.slots.extend if collect_log else None
         self.servers = [
             _Server(i, eng, config.hours_per_day * eng.capacity_factor * modifiers.capacity_factor)
             for i, eng in enumerate(config.engineers)
@@ -750,15 +781,15 @@ class DesEngine:
     def _admit(self, item: WorkItem, t: float, kind: str, eng_id: int, detail: str) -> None:
         self.stats.note_arrival((item.work_type, item.priority))
         self.n_in_system += 1
-        if self.log is not None:
-            self.log.append((t, kind, item.id, eng_id, detail))
+        if self._record is not None:
+            self._record((t, kind, item.id, eng_id, detail))
 
     def _on_arrival(self, t: float, gen_index: int) -> None:
         plan = self.plans[gen_index]
         rng = self.rng
         self.calendar.push(t + sample_interarrival(plan.daily_rate, rng), _EV_ARRIVAL, gen_index, 0)
         item = plan.sample_item(t, rng, self._next_id())
-        detail = plan.details[item.priority] if self.log is not None else ""
+        detail = plan.details[item.priority] if self._record is not None else ""
         self._admit(item, t, "arrival", -1, detail)
         self._route(item, t)
 
@@ -775,8 +806,8 @@ class DesEngine:
         days = t - item.arrival_time
         self.stats.note_completion((item.work_type, item.priority), days, item.total_queue_days, t)
         self.n_in_system -= 1
-        if self.log is not None:
-            self.log.append((t, "complete", item.id, srv.engineer.id, f"{days:.6f}"))
+        if self._record is not None:
+            self._record((t, "complete", item.id, srv.engineer.id, f"{days:.6f}"))
         self._maybe_rework(item, t, srv)
 
     def _stop(self, srv: _Server, t: float, reason: tuple[str, str]) -> None:
@@ -788,8 +819,8 @@ class DesEngine:
         item.remaining_service_hours = max(0.0, item.remaining_service_hours - done)
         counter, detail = reason
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        if self.log is not None:
-            self.log.append((t, "stop", item.id, srv.engineer.id, detail))
+        if self._record is not None:
+            self._record((t, "stop", item.id, srv.engineer.id, detail))
         if reason is _STOP_SKILL:
             # insufficient skill surfaced mid-service: route the item afresh
             self._route(item, t)
@@ -818,8 +849,8 @@ class DesEngine:
     def _dead_letter(self, item: WorkItem, t: float) -> None:
         self.stats.dead_letter_count += 1
         self.n_in_system -= 1
-        if self.log is not None:
-            self.log.append((t, "dead_letter", item.id, -1, item.required.skill_type))
+        if self._record is not None:
+            self._record((t, "dead_letter", item.id, -1, item.required.skill_type))
 
     def _steal(self, srv: _Server, t: float) -> WorkItem | None:
         # pull the discipline-best compatible waiting item from a colleague
@@ -838,8 +869,8 @@ class DesEngine:
         if best_queue is None:
             return None
         item = best_queue.remove(best_item.id, t)
-        if self.log is not None:
-            self.log.append((t, "dispatch", item.id, srv.engineer.id, "steal"))
+        if self._record is not None:
+            self._record((t, "dispatch", item.id, srv.engineer.id, "steal"))
         return item
 
     def _route(self, item: WorkItem, t: float) -> None:
@@ -858,8 +889,8 @@ class DesEngine:
             if k < best_key or (k == best_key and srv.engineer.id < best.engineer.id):
                 best_key = k
                 best = srv
-        if self.log is not None:
-            self.log.append((t, "dispatch", item.id, best.engineer.id, "route"))
+        if self._record is not None:
+            self._record((t, "dispatch", item.id, best.engineer.id, "route"))
         best.queue.push(item, t)
         if best.item is not None and item.priority > best.item.priority:
             self._stop(best, t, _STOP_PREEMPT)
@@ -912,8 +943,8 @@ class DesEngine:
         srv.epoch += 1
         self.n_busy += 1
         self.calendar.push(end, _EV_SERVICE_END, srv.index, srv.epoch)
-        if self.log is not None:
-            self.log.append((t, "start", item.id, eng.id, ""))
+        if self._record is not None:
+            self._record((t, "start", item.id, eng.id, ""))
 
     # -- main loop ----------------------------------------------------------------
     def run(self) -> DesStats:
@@ -987,19 +1018,19 @@ def run_des(
     horizon: float = 126.0,
     collect_log: bool = True,
     initial_items: list[WorkItem] | None = None,
-) -> tuple[DesStats, list[EventRecord]]:
+) -> tuple[DesStats, EventLog]:
     """Run one replication; returns (stats, event log).
 
-    The log is empty when ``collect_log`` is False.  Each of the
-    ``initial_items`` must have ``arrival_time`` 0, a distinct id and a
-    positive, finite demand; the run works on copies of them, and numbers
-    its own items after the largest initial id.  Identical arguments
+    The log is an ``EventLog``, empty when ``collect_log`` is False.  Each
+    of the ``initial_items`` must have ``arrival_time`` 0, a distinct id
+    and a positive, finite demand; the run works on copies of them, and
+    numbers its own items after the largest initial id.  Identical arguments
     produce identical stats and logs; the seed is the only randomness.
     """
     engine = DesEngine(config, modifiers or DesModifiers(), seed, horizon,
                        collect_log=collect_log, initial_items=initial_items)
     stats = engine.run()
-    return stats, (engine.log if engine.log is not None else [])
+    return stats, (engine.log if engine.log is not None else EventLog())
 
 
 def run_des_replicated(
@@ -1008,15 +1039,15 @@ def run_des_replicated(
     seed: int = 0,
     horizon: float = 126.0,
     replications: int = 1,
-    log_sink: Callable[[int, list[EventRecord]], None] | None = None,
+    log_sink: Callable[[int, EventLog], None] | None = None,
 ) -> DesStats:
     """Run ``replications`` independent replications with seeds seed, seed+1, ...
 
     Returns the stats pooled with ``merge_stats``, left-folded in seed
     order: each run is pooled as it ends and dropped, so the fold holds the
     pool and one run, never all runs.  Event logs are collected only for a
-    ``log_sink``: replication ``i``'s log is handed to ``log_sink(i, log)``
-    as soon as it ends and is not kept.
+    ``log_sink``: replication ``i``'s ``EventLog`` is handed to
+    ``log_sink(i, log)`` as soon as it ends and is not kept.
     """
     if replications < 1:
         raise ConfigurationError("replications must be >= 1")

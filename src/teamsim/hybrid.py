@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
-from .des import DesModifiers, DesStats, EventRecord, run_des_replicated
+from .des import DesModifiers, DesStats, EventLog, run_des_replicated
 from .domain import WorkType
 from .errors import ConfigurationError
 from .sd import SdParams, SdState, SdTrajectory, run_sd
@@ -158,7 +158,7 @@ class HybridReport:
 
 def run_hybrid(
     scenario,
-    log_sink: Callable[[int, list[EventRecord]], None] | None = None,
+    log_sink: Callable[[int, EventLog], None] | None = None,
 ) -> HybridReport:
     """Run the coupled procedure for up to ``scenario.cycles_max`` cycles.
 
@@ -169,10 +169,10 @@ def run_hybrid(
     Each cycle's event model is one ``run_des_replicated`` replication, so
     its log is handled as a replication's is: collected only for a
     ``log_sink``, handed to it as soon as the run ends, and not kept; the
-    sink receives it as ``log_sink(k, log)`` for cycle ``k``.  The next
-    cycle's event-model run validates the fed-back modifiers, so an
-    interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends the run with a
-    ``ConfigurationError``.
+    sink receives the ``EventLog`` as ``log_sink(k, log)`` for cycle
+    ``k``.  The next cycle's event-model run validates the fed-back
+    modifiers, so an interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends
+    the run with a ``ConfigurationError``.
     """
     scenario.validate()
 

@@ -9,8 +9,10 @@ yields byte-identical files.  CSV columns with no value render as empty
 fields.  The CSV and event-log writers stream one line per record to the
 open file, so no joined copy of a whole file is built in memory.
 ``write_event_log_ndjson`` is the one NDJSON writer: an ``EventLogSink``
-calls it for each run's event log the moment that run ends, so no more
-than one run's log need be held at a time.
+calls it for each run's ``EventLog`` the moment that run ends, so no more
+than one run's log need be held at a time.  It reads the log only by
+iterating it, one ``(time, kind, item_id, engineer_id, detail)`` tuple
+per record, as any sink may.
 
 An event's time is written as ``json.dumps`` writes ``round(t, 6)``, that
 is ``repr(round(t, 6))``, but on ``1e-4 <= t < 1e9`` it is rendered as
@@ -32,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ..des import DesStats, EventRecord
+from ..des import DesStats, EventLog, EventRecord
 from ..domain import Priority
 from ..hybrid import HybridReport
 from ..sd import SdTrajectory
@@ -122,12 +124,13 @@ def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
 class EventLogSink:
     """Writes each run's event log to ``out_dir`` as soon as the run ends.
 
-    ``sink(k, log)`` writes run ``k``'s log as NDJSON to ``name.format(k)``
-    and keeps no reference to it; an empty log gets no file.  ``paths``
-    lists the files written, in call order: the report emitters list the
-    logs from it, never from a directory listing, so files left in
-    ``out_dir`` by an earlier run are not reported.  Making a sink creates
-    ``out_dir``, so an unusable directory fails before any run starts.
+    ``sink(k, log)`` writes run ``k``'s ``EventLog`` as NDJSON to
+    ``name.format(k)`` and keeps no reference to it; an empty log (``len``
+    0) gets no file.  ``paths`` lists the files written, in call order: the
+    report emitters list the logs from it, never from a directory listing,
+    so files left in ``out_dir`` by an earlier run are not reported.
+    Making a sink creates ``out_dir``, so an unusable directory fails
+    before any run starts.
     """
 
     def __init__(self, out_dir: Path, name: str) -> None:
@@ -136,7 +139,7 @@ class EventLogSink:
         self._name = name
         self.paths: list[Path] = []
 
-    def __call__(self, k: int, log: Sequence[EventRecord]) -> None:
+    def __call__(self, k: int, log: EventLog) -> None:
         if not log:
             return
         p = self.out_dir / self._name.format(k)

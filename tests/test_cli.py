@@ -431,6 +431,22 @@ class TestSdCommand:
         err = capsys.readouterr().err
         assert err.count("flow-model steps, more than the 1000000 allowed") == 3
 
+    @pytest.mark.parametrize(
+        "argv", [("hybrid", "default", "--cycles", "1"), ("sd", "default", "--out", "{out}")]
+    )
+    def test_a_column_whose_sum_overflows_reports_a_finite_mean(self, tmp_path, argv):
+        # every fatigue value is finite, but their sum is not: the mean of the
+        # column was once an OverflowError traceback out of math.fsum
+        args = [a.format(out=tmp_path / "o") for a in argv]
+        res = run_cli(*args, env={"TEAMSIM_SD_INITIAL__FATIGUE": "1e308"})
+        assert res.returncode == 0 and res.stderr == ""
+        if argv[0] == "hybrid":
+            assert res.stdout.splitlines()[-1] == "converged=false cycles=1"
+            return
+        doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert 1e306 < doc["mean_fatigue"] < 1e308
+        assert all(math.isfinite(doc[k]) for k in doc if k.startswith("mean_"))
+
 
 def test_importing_the_entry_module_runs_nothing():
     # only `python -m teamsim` runs the command line; a tool or a spawned

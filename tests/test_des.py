@@ -328,7 +328,7 @@ class TestSingleItemArithmetic:
 
     def test_initial_items_admitted_at_time_zero(self):
         stats, log = run_des(quiet_config(), seed=1, horizon=5.0, initial_items=[make_initial(0, 4.0)])
-        first = log[0]
+        first = next(iter(log))
         assert first[0] == 0.0 and first[1] == "arrival" and first[4] == "initial"
 
     def test_initial_item_with_late_arrival_rejected(self):
@@ -366,7 +366,7 @@ class TestSingleItemArithmetic:
             assert item._queue_entered is None and item.total_queue_days == 0.0
             assert item.remaining_service_hours == item.service_demand_hours
         second = run_des(quiet_config(), seed=1, horizon=1.5, initial_items=items)
-        assert first[1] == second[1]
+        assert list(first[1]) == list(second[1])
         assert first[0].to_flat_dict() == second[0].to_flat_dict()
         assert first[0].final_in_queue and first[0].final_in_service
 
@@ -562,25 +562,25 @@ class TestRunProperties:
         cfg = mm1_config()
         s1, l1 = run_des(cfg, seed=42, horizon=200.0)
         s2, l2 = run_des(cfg, seed=42, horizon=200.0)
-        assert l1 == l2
+        assert list(l1) == list(l2)
         assert s1.to_flat_dict() == s2.to_flat_dict()
 
     def test_different_seeds_differ(self):
         cfg = mm1_config()
         _, l1 = run_des(cfg, seed=1, horizon=200.0)
         _, l2 = run_des(cfg, seed=2, horizon=200.0)
-        assert l1 != l2
+        assert list(l1) != list(l2)
 
     def test_identity_modifiers_change_nothing(self):
         cfg = mm1_config()
         _, l1 = run_des(cfg, seed=7, horizon=300.0)
         _, l2 = run_des(cfg, modifiers=DesModifiers(), seed=7, horizon=300.0)
-        assert l1 == l2
+        assert list(l1) == list(l2)
 
     def test_zero_rate_generator_produces_nothing(self):
         cfg = single_class_config(daily_rate=0.0)
         stats, log = run_des(cfg, seed=1, horizon=100.0)
-        assert stats.arrived_total == 0 and log == []
+        assert stats.arrived_total == 0 and list(log) == []
 
     def test_work_conservation_under_load(self):
         cfg = mmc_config(3, daily_rate=2.7)
@@ -695,7 +695,7 @@ class TestWorkConservingDispatch:
         assert engine.checked_events == engine.events > engine.dispatches
         # the subclass only observes: same output as the public entry point
         ref, log = run_des(cfg, modifiers, seed=seed, horizon=horizon)
-        assert engine.log == log and stats.to_flat_dict() == ref.to_flat_dict()
+        assert list(engine.log) == list(log) and stats.to_flat_dict() == ref.to_flat_dict()
         return stats
 
     def test_default_scenario(self):
@@ -755,7 +755,8 @@ class TestRoutingOrder:
     def _check(self, log):
         """Assert the rule on every entry record; return the entry kinds seen."""
         kinds = set()
-        for rec, nxt in zip(log, log[1:] + [None]):
+        records = list(log)
+        for rec, nxt in zip(records, records[1:] + [None]):
             kind = f"stop {rec[4]}" if rec[1] == "stop" else rec[1]
             if kind not in ("arrival", "incident", "stop skill") or rec[4] == "initial":
                 continue
@@ -1053,7 +1054,7 @@ def test_engine_invariants_hold_for_several_skill_types(
     times = [rec[0] for rec in log]
     assert times == sorted(times)
     again, log_again = run_des(cfg, mods, seed=seed, horizon=horizon)
-    assert log_again == log and again.to_flat_dict() == stats.to_flat_dict()
+    assert list(log_again) == list(log) and again.to_flat_dict() == stats.to_flat_dict()
 
 
 # hypothesis: arbitrary small workloads never break conservation or ordering

@@ -163,14 +163,14 @@ class TestRunHybrid:
         sc = default_scenario()
         logs = []
         run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: logs.append(log))
-        assert len(logs) == 2 and logs[0] != logs[1]
+        assert len(logs) == 2 and list(logs[0]) != list(logs[1])
 
     def test_reproducible_from_scenario_seed(self):
         sc = default_scenario()
         l1, l2 = [], []
         r1 = run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: l1.append(log))
         r2 = run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: l2.append(log))
-        assert len(l1) == 2 and l1 == l2
+        assert len(l1) == 2 and [list(log) for log in l1] == [list(log) for log in l2]
         for a, b in zip(r1.cycles, r2.cycles, strict=True):
             assert a.des_stats.to_flat_dict() == b.des_stats.to_flat_dict()
             assert a.modifiers_out == b.modifiers_out
@@ -192,7 +192,7 @@ class TestRunHybrid:
         )
         for rec, log in zip(report.cycles, logs, strict=True):
             _, solo = run_des(sc.des, seed=sc.seed + rec.index, horizon=sc.horizon)
-            assert log == solo
+            assert list(log) == list(solo)
 
     def test_reported_summary_is_the_one_fed_back(self):
         # cycles.json reports each cycle's sd_summary, and the cycle's

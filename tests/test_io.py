@@ -7,6 +7,7 @@ import logging
 import math
 import random
 import re
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -351,10 +352,10 @@ class TestLogSink:
         got = []
         report = run_hybrid(
             dataclasses.replace(sc, cycles_max=2, tol=1e-12),
-            log_sink=lambda k, log: got.append((k, log)),
+            log_sink=lambda k, log: got.append((k, list(log))),
         )
         ref = [
-            (rec.index, run_des(sc.des, rec.modifiers_in, sc.seed + rec.index, sc.horizon)[1])
+            (rec.index, list(run_des(sc.des, rec.modifiers_in, sc.seed + rec.index, sc.horizon)[1]))
             for rec in report.cycles
         ]
         assert [k for k, _ in got] == [0, 1] and got == ref
@@ -362,9 +363,9 @@ class TestLogSink:
         got.clear()
         run_des_replicated(
             sc.des, seed=sc.seed, horizon=30.0, replications=2,
-            log_sink=lambda k, log: got.append((k, log)),
+            log_sink=lambda k, log: got.append((k, list(log))),
         )
-        ref = [(i, run_des(sc.des, seed=sc.seed + i, horizon=30.0)[1]) for i in range(2)]
+        ref = [(i, list(run_des(sc.des, seed=sc.seed + i, horizon=30.0)[1])) for i in range(2)]
         assert [k for k, _ in got] == [0, 1] and got == ref
 
     @pytest.mark.parametrize("command", ["des", "hybrid"])
@@ -454,6 +455,50 @@ class TestNothingOutlivesItsRun:
         assert [len(s) for s in starts] == [0, 1, 2]
         assert all(all(dead) for dead in starts), starts
         assert all(r() is None for r in refs)
+
+
+class TestHeldMemory:
+    """What a held event log and a flow-model trajectory cost, by tracemalloc.
+
+    A log keeps five list slots per record and the values they name (about
+    68 bytes a record over 1000 default days; 109 with a tuple per record).
+    A trajectory keeps one ``array('d')`` of its 18 values per step and a
+    float time (about 176 bytes a step held and 329 while the columns are
+    cut; 680 and 844 with a row tuple per step and list columns).
+    """
+
+    def test_event_log_bytes_per_record(self, tmp_path):
+        sc = default_scenario()
+        # perfbench's des.log.records reads len: it counts the records a
+        # reader iterates and the lines the writer writes
+        _, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)
+        write_event_log_ndjson(log, tmp_path / "log.ndjson")
+        lines = (tmp_path / "log.ndjson").read_text().count("\n")
+        assert len(log) == sum(1 for _ in log) == lines > 1000
+        tracemalloc.start()
+        try:
+            _, log = run_des(sc.des, seed=sc.seed, horizon=1000.0)
+            n = len(log)
+            before = tracemalloc.get_traced_memory()[0]
+            del log
+            held = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / n < 85, f"{held / n:.1f} bytes a record"
+
+    def test_trajectory_bytes_per_step(self):
+        sc = default_scenario()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = run_sd(sc.sd_initial, sc.sd_params, 1000.0, 0.25)
+            held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        n = len(traj)
+        assert n == 4001
+        assert held / n < 200, f"{held / n:.1f} bytes a step held"
+        assert peak / n < 400, f"{peak / n:.1f} bytes a step at the peak"
 
 
 # finite non-negative times: any size, exact half-way cases at 6 decimals

@@ -9,6 +9,7 @@ the outflow clamp engages.
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -346,6 +347,18 @@ class TestTrajectories:
         traj = run_sd(BUSY_INIT, busy_params(), 2.0, 0.25)
         with pytest.raises(ConfigurationError):
             traj.mean("throughput")
+
+    def test_mean_of_finite_values_whose_sum_overflows_is_finite(self):
+        # math.fsum raises OverflowError on such a column; the mean is taken scaled
+        traj = run_sd(dataclasses.replace(BUSY_INIT, fatigue=1e308), busy_params(), 20.0, 0.25)
+        col = traj.columns["fatigue"]
+        with pytest.raises(OverflowError):
+            math.fsum(col)
+        exact = sum(map(Fraction, col)) / len(col)
+        assert traj.mean("fatigue") == pytest.approx(float(exact), rel=1e-15)
+        # a column whose sum does not overflow keeps the exact sum's mean, bit for bit
+        stop = traj.columns["stop_rate"]
+        assert traj.mean("stop_rate") == math.fsum(stop) / len(stop)
 
 
 class TestMassBalance:
