@@ -28,7 +28,7 @@ def main() -> int:
     sc = scenario_from_args(args)
     out = Path(args.out)
 
-    # each replication's log is written as soon as it ends
+    # each replication's log is streamed to its file while it runs
     sink = des_log_sink(out / "des", sc.replications)
     stats = run_des_replicated(
         sc.des, seed=sc.seed, horizon=sc.horizon, replications=sc.replications, log_sink=sink

@@ -30,7 +30,7 @@ def main() -> int:
     args = ap.parse_args()
 
     sc = scenario_from_args(args)
-    # each cycle's log is written as soon as its event-model run ends
+    # each cycle's log is streamed to its file while its event-model run goes on
     sink = hybrid_log_sink(Path(args.out))
     report = run_hybrid(sc, log_sink=sink)
 

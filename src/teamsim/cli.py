@@ -102,8 +102,8 @@ def _cmd_synth(args) -> int:
 def _cmd_des(args) -> int:
     scenario = scenario_from_args(args)
     # the scenario is settled, so a rejected run writes nothing; the sink
-    # creates --out before the first replication and writes each
-    # replication's log as soon as it ends
+    # creates --out before the first replication and streams each
+    # replication's log to its file while that replication runs
     sink = des_log_sink(Path(args.out), scenario.replications) if args.out else None
     stats = run_des_replicated(
         scenario.des, seed=scenario.seed, horizon=scenario.horizon,
@@ -136,8 +136,8 @@ def _cmd_sd(args) -> int:
 
 def _cmd_hybrid(args) -> int:
     scenario = scenario_from_args(args)
-    # the sink creates --out before the first cycle and writes each cycle's
-    # log as soon as its event-model run ends
+    # the sink creates --out before the first cycle and streams each cycle's
+    # log to its file while its event-model run goes on
     sink = hybrid_log_sink(Path(args.out)) if args.out else None
     report = run_hybrid(scenario, log_sink=sink)
     if sink is not None:

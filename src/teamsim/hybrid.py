@@ -158,7 +158,7 @@ class HybridReport:
 
 def run_hybrid(
     scenario,
-    log_sink: Callable[[int, EventLog], None] | None = None,
+    log_sink: Callable[[int], EventLog] | None = None,
 ) -> HybridReport:
     """Run the coupled procedure for up to ``scenario.cycles_max`` cycles.
 
@@ -168,11 +168,11 @@ def run_hybrid(
     (largest relative component change).
     Each cycle's event model is one ``run_des_replicated`` replication, so
     its log is handled as a replication's is: collected only for a
-    ``log_sink``, handed to it as soon as the run ends, and not kept; the
-    sink receives the ``EventLog`` as ``log_sink(k, log)`` for cycle
-    ``k``.  The next cycle's event-model run validates the fed-back
-    modifiers, so an interrupt rate beyond ``des.MAX_INTERRUPT_RATE`` ends
-    the run with a ``ConfigurationError``.
+    ``log_sink``, into the ``EventLog`` that ``log_sink(k)`` returns for
+    cycle ``k``, streamed to its writer while the run goes on if it has
+    one, and not kept.  The next cycle's event-model run validates the
+    fed-back modifiers, so an interrupt rate beyond
+    ``des.MAX_INTERRUPT_RATE`` ends the run with a ``ConfigurationError``.
     """
     scenario.validate()
 
@@ -186,7 +186,7 @@ def run_hybrid(
             modifiers,
             seed=scenario.seed + k,
             horizon=scenario.horizon,
-            log_sink=None if log_sink is None else lambda _, log: log_sink(k, log),
+            log_sink=None if log_sink is None else lambda _: log_sink(k),
         )
         ff = extract_feedforward(stats)
         params_k = apply_feedforward(scenario.sd_params, ff, scenario.sd_initial)

@@ -8,11 +8,12 @@ and writes newline-terminated text, so re-running the same result object
 yields byte-identical files.  CSV columns with no value render as empty
 fields.  The CSV and event-log writers stream one line per record to the
 open file, so no joined copy of a whole file is built in memory.
-``write_event_log_ndjson`` is the one NDJSON writer: an ``EventLogSink``
-calls it for each run's ``EventLog`` the moment that run ends, so no more
-than one run's log need be held at a time.  It reads the log only by
-iterating it, one ``(time, kind, item_id, engineer_id, detail)`` tuple
-per record, as any sink may.
+``write_event_log_ndjson`` is the one NDJSON writer.  An ``EventLogSink``
+gives each run a streamed ``EventLog`` whose writer calls it for every
+batch of records the engine flushes while the run goes on, so a run holds
+at most a batch and a day's records, never its whole log.  The writer
+reads a batch only by iterating it, one ``(time, kind, item_id,
+engineer_id, detail)`` tuple per record.
 
 An event's time is written as ``json.dumps`` writes ``round(t, 6)``, that
 is ``repr(round(t, 6))``, but on ``1e-4 <= t < 1e9`` it is rendered as
@@ -89,11 +90,10 @@ class _Escaped(dict):
         return lit
 
 
-def _ndjson_lines(log: Iterable[EventRecord]) -> Iterator[str]:
+def _ndjson_lines(log: Iterable[EventRecord], kinds: _Escaped) -> Iterator[str]:
     # a log holds a handful of event kinds and many records at one instant,
-    # so each kind is escaped once and a time rendered once per run of equal
-    # times; ``not t`` re-renders every zero, since 0.0 == -0.0
-    kinds = _Escaped()
+    # so each kind is escaped once into ``kinds`` and a time rendered once per
+    # run of equal times; ``not t`` re-renders every zero, since 0.0 == -0.0
     prev_t = None
     time_s = ""
     for t, kind, item_id, eng_id, detail in log:
@@ -106,8 +106,15 @@ def _ndjson_lines(log: Iterable[EventRecord]) -> Iterator[str]:
         )
 
 
-def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
+def write_event_log_ndjson(
+    log: Iterable[EventRecord], path: Path, mode: str = "w", kinds: _Escaped | None = None
+) -> None:
     """Stream one NDJSON line per record; an empty log writes an empty file.
+
+    ``mode`` is ``"w"`` to make the file or ``"a"`` to append a later batch
+    of the same log; ``kinds``, when given, is the cache of escaped event
+    kinds that the log's earlier batches filled.  The file is closed before
+    the call returns, whether or not it raises.
 
     Each line equals ``json.dumps`` of the record with ``sort_keys``: the
     keys are fixed, so the line is an f-string in sorted-key order with
@@ -117,20 +124,24 @@ def write_event_log_ndjson(log: Iterable[EventRecord], path: Path) -> None:
     ``repr`` would render ``nan``/``inf`` where json writes
     ``NaN``/``Infinity``.
     """
-    with path.open("w") as f:
-        f.writelines(_ndjson_lines(log))
+    with path.open(mode) as f:
+        f.writelines(_ndjson_lines(log, _Escaped() if kinds is None else kinds))
 
 
 class EventLogSink:
-    """Writes each run's event log to ``out_dir`` as soon as the run ends.
+    """Streams each run's event log to ``out_dir`` while the run goes on.
 
-    ``sink(k, log)`` writes run ``k``'s ``EventLog`` as NDJSON to
-    ``name.format(k)`` and keeps no reference to it; an empty log (``len``
-    0) gets no file.  ``paths`` lists the files written, in call order: the
-    report emitters list the logs from it, never from a directory listing,
-    so files left in ``out_dir`` by an earlier run are not reported.
-    Making a sink creates ``out_dir``, so an unusable directory fails
-    before any run starts.
+    ``sink(k)`` returns the streamed ``EventLog`` that run ``k`` records
+    into and keeps no reference to it.  Its writer makes ``name.format(k)``
+    with the first batch of records and appends each later batch as NDJSON,
+    so a run that makes no record gets no file.  Each batch's write opens
+    and closes the file, so no handle is left open between batches or when
+    a run raises; a run that raises after its first batch leaves a partial
+    log on disk.  ``paths`` lists the files made, in the order their runs
+    ran: the report emitters list the logs from it, never from a directory
+    listing, so files left in ``out_dir`` by an earlier run are not
+    reported.  Making a sink creates ``out_dir``, so an unusable directory
+    fails before any run starts.
     """
 
     def __init__(self, out_dir: Path, name: str) -> None:
@@ -139,12 +150,19 @@ class EventLogSink:
         self._name = name
         self.paths: list[Path] = []
 
-    def __call__(self, k: int, log: EventLog) -> None:
-        if not log:
-            return
-        p = self.out_dir / self._name.format(k)
-        write_event_log_ndjson(log, p)
-        self.paths.append(p)
+    def __call__(self, k: int) -> EventLog:
+        path = self.out_dir / self._name.format(k)
+        # kept across the run's batches, so each kind is escaped once a run;
+        # empty until the first batch is written, as every record has a kind
+        kinds = _Escaped()
+
+        def write(batch: EventLog) -> None:
+            first = not kinds
+            write_event_log_ndjson(batch, path, "w" if first else "a", kinds)
+            if first:
+                self.paths.append(path)
+
+        return EventLog(write)
 
 
 def des_log_sink(out_dir: Path, replications: int) -> EventLogSink:

@@ -244,14 +244,15 @@ def _step_values(
 class SdTrajectory:
     """Recorded run: state and auxiliaries at t = 0, dt, 2 dt, ...
 
-    Stored by column, and read by column: ``columns`` maps every SdState
-    and SdAux field name, in that order, to an ``array('d')`` of its value
-    at each recorded time, in the order of ``times``; ``mean`` averages one
-    column, and ``final_state`` builds the last recorded state.
+    Stored by column, and read by column: ``times`` is an ``array('d')`` of
+    the recorded times, and ``columns`` maps every SdState and SdAux field
+    name, in that order, to an ``array('d')`` of its value at each recorded
+    time, in the order of ``times``; ``mean`` averages one column, and
+    ``final_state`` builds the last recorded state.
     """
 
     dt: float
-    times: list[float]
+    times: array
     columns: dict[str, array]
     clamp_events: int = 0
 
@@ -327,11 +328,12 @@ def run_sd(
 
     Records the initial state plus every step; the final recorded time is
     the first multiple of dt at or beyond the horizon.  Each step works on
-    float tuples and appends its nine state and nine auxiliary values to
-    one flat ``array('d')``, 8 bytes a value; when the run ends, column
-    ``j`` is the strided slice ``rows[j::width]``, so no SdState, SdAux or
-    per-step row is kept.  Aborts with ``EngineError`` naming the first
-    non-finite quantity if the state explodes.
+    float tuples, appends its time to the ``array('d')`` of times and its
+    nine state and nine auxiliary values to one flat ``array('d')``, 8
+    bytes a value; when the run ends, column ``j`` is the strided slice
+    ``rows[j::width]``, so no SdState, SdAux or per-step row is kept.
+    Aborts with ``EngineError`` naming the first non-finite quantity if
+    the state explodes.
     """
     params.validate()
     initial.validate()
@@ -339,7 +341,7 @@ def run_sd(
     state = _state_values(initial)
     a = _aux_values(state, params)
     _check_finite(state, a, 0.0)
-    times = [0.0]
+    times = array("d", [0.0])
     rows = array("d", state + a)
     clamp_events = 0
     for i in range(1, n_steps + 1):

@@ -8,10 +8,23 @@ an M/M/1 queue; with c engineers it is M/M/c.
 """
 from __future__ import annotations
 
-from teamsim.des import DesConfig, GeneratorConfig
+from typing import Callable
+
+from teamsim.des import DesConfig, EventLog, GeneratorConfig
 from teamsim.domain import Affinity, Engineer, SkillSpec, WorkType
 
 CORE = SkillSpec("core", 3)
+
+
+def keep_logs(logs: list) -> Callable[[int], EventLog]:
+    """A log sink that gives each run a new held ``EventLog`` and appends it to ``logs``."""
+
+    def sink(k: int) -> EventLog:
+        log = EventLog()
+        logs.append(log)
+        return log
+
+    return sink
 
 
 def plain_engineers(n: int) -> list[Engineer]:

@@ -31,7 +31,7 @@ from teamsim.io.scenario import default_scenario
 from teamsim.io.tickets import SynthClass, SynthSpec, generate_synthetic, ingest_tickets
 from teamsim.sd import SdState, mass_residuals, run_sd
 
-from conftest import mm1_config, mmc_config
+from conftest import keep_logs, mm1_config, mmc_config
 from test_hybrid import zero_gain_scenario
 from test_sd import BUSY_INIT, busy_params, inert_params
 
@@ -254,12 +254,10 @@ def test_c6_integrator_accuracy():
 def test_c7_zero_gain_identity_fixed_point():
     sc = zero_gain_scenario()
     logs = []
-    report = run_hybrid(
-        replace(sc, cycles_max=3, tol=1e-12), log_sink=lambda k, log: logs.append(log)
-    )
+    report = run_hybrid(replace(sc, cycles_max=3, tol=1e-12), log_sink=keep_logs(logs))
     identity = all(rec.modifiers_out == DesModifiers() for rec in report.cycles)
     matches = True
-    # strict: a cycle whose log never reached the sink fails the check
+    # strict: a cycle that took no log from the sink fails the check
     for rec, log in zip(report.cycles, logs, strict=True):
         _, solo = run_des(sc.des, seed=sc.seed + rec.index, horizon=sc.horizon)
         if list(log) != list(solo):

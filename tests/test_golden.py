@@ -20,7 +20,7 @@ from dataclasses import astuple, fields, replace
 
 import pytest
 
-from teamsim.des import DesModifiers, run_des, run_des_replicated
+from teamsim.des import DesModifiers, EventLog, run_des, run_des_replicated
 from teamsim.hybrid import run_hybrid
 from teamsim.io.report import (
     des_log_sink,
@@ -148,9 +148,8 @@ def _digest(name: str, tmp_path) -> str:
         return _files_sha(emit_fit_report(ingest_tickets(src), tmp_path / "fit"))
     if name == "des-report-single":
         sc = default_scenario()
-        stats, log = run_des(sc.des, seed=sc.seed, horizon=sc.horizon)
         sink = des_log_sink(tmp_path, 1)
-        sink(0, log)
+        stats, _ = run_des(sc.des, seed=sc.seed, horizon=sc.horizon, collect_log=sink(0))
         return _files_sha(emit_des_report(stats, tmp_path, log_sink=sink))
     if name == "des-report-reps":
         sc = default_scenario()
@@ -170,9 +169,18 @@ def _digest(name: str, tmp_path) -> str:
     sink = hybrid_log_sink(tmp_path)
     logs = []
 
-    def keep_and_write(k, log):
-        logs.append(log)
-        sink(k, log)
+    def keep_and_write(k):
+        # cycle k streams into a log whose writer keeps each batch's records
+        # and hands the batch on to the sink's writer for cycle k
+        write = sink(k).writer
+        kept = []
+        logs.append(kept)
+
+        def keep(batch):
+            kept.extend(batch)
+            write(batch)
+
+        return EventLog(keep)
 
     report = run_hybrid(
         replace(default_scenario(), cycles_max=2, tol=1e-12), log_sink=keep_and_write

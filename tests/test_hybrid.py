@@ -20,7 +20,7 @@ from teamsim.hybrid import (
 from teamsim.io.scenario import default_scenario
 from teamsim.sd import SdState
 
-from conftest import mm1_config
+from conftest import keep_logs, mm1_config
 
 
 def sd_summary(error_frac, mgmt_pressure, stop_rate):
@@ -162,14 +162,14 @@ class TestRunHybrid:
     def test_cycle_seeds_differ(self):
         sc = default_scenario()
         logs = []
-        run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: logs.append(log))
+        run_hybrid(replace(sc, cycles_max=2), log_sink=keep_logs(logs))
         assert len(logs) == 2 and list(logs[0]) != list(logs[1])
 
     def test_reproducible_from_scenario_seed(self):
         sc = default_scenario()
         l1, l2 = [], []
-        r1 = run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: l1.append(log))
-        r2 = run_hybrid(replace(sc, cycles_max=2), log_sink=lambda k, log: l2.append(log))
+        r1 = run_hybrid(replace(sc, cycles_max=2), log_sink=keep_logs(l1))
+        r2 = run_hybrid(replace(sc, cycles_max=2), log_sink=keep_logs(l2))
         assert len(l1) == 2 and [list(log) for log in l1] == [list(log) for log in l2]
         for a, b in zip(r1.cycles, r2.cycles, strict=True):
             assert a.des_stats.to_flat_dict() == b.des_stats.to_flat_dict()
@@ -187,9 +187,7 @@ class TestRunHybrid:
         # uncoupled run at seed + k
         sc = zero_gain_scenario()
         logs = []
-        report = run_hybrid(
-            replace(sc, cycles_max=2, tol=1e-12), log_sink=lambda k, log: logs.append(log)
-        )
+        report = run_hybrid(replace(sc, cycles_max=2, tol=1e-12), log_sink=keep_logs(logs))
         for rec, log in zip(report.cycles, logs, strict=True):
             _, solo = run_des(sc.des, seed=sc.seed + rec.index, horizon=sc.horizon)
             assert list(log) == list(solo)

@@ -2,14 +2,18 @@
 import copy
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import math
 import random
 import re
 import tracemalloc
+import warnings
 import weakref
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,9 +22,16 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import teamsim.des
 import teamsim.hybrid
 import teamsim.io.scenario
-from teamsim.des import GeneratorConfig, run_des, run_des_replicated
+from teamsim.des import (
+    LOG_BATCH,
+    DesEngine,
+    EventLog,
+    GeneratorConfig,
+    run_des,
+    run_des_replicated,
+)
 from teamsim.domain import Affinity, Engineer, SkillSpec, WorkType
-from teamsim.errors import ConfigurationError, DataError
+from teamsim.errors import ConfigurationError, DataError, StructuralError
 from teamsim.io.report import (
     des_log_sink,
     emit_des_report,
@@ -269,9 +280,8 @@ class TestSynthetic:
 
 class TestReportEmission:
     def test_des_report_files(self, tmp_path):
-        stats, log = run_des(default_scenario().des, seed=20, horizon=30.0)
         sink = des_log_sink(tmp_path, 1)
-        sink(0, log)
+        stats, _ = run_des(default_scenario().des, seed=20, horizon=30.0, collect_log=sink(0))
         written = emit_des_report(stats, tmp_path, log_sink=sink)
         names = {p.name for p in written}
         assert names == {"summary.json", "queue_lengths.csv", "eventlog.ndjson"}
@@ -293,11 +303,11 @@ class TestReportEmission:
         assert summary["replications"] == 0 and summary["completions_per_day"] is None
 
     def test_emission_is_repeatable_bytes(self, tmp_path):
-        stats, log = run_des(default_scenario().des, seed=20, horizon=20.0)
+        # a streamed log is written once, so each directory gets its own run
         d1, d2 = tmp_path / "one", tmp_path / "two"
         for d in (d1, d2):
             sink = des_log_sink(d, 1)
-            sink(0, log)
+            stats, _ = run_des(default_scenario().des, seed=20, horizon=20.0, collect_log=sink(0))
             emit_des_report(stats, d, log_sink=sink)
         for name in ("summary.json", "queue_lengths.csv", "eventlog.ndjson"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
@@ -348,25 +358,26 @@ class TestLogSink:
     def test_runs_hand_each_log_to_the_sink_and_keep_none(self):
         # each log handed over is the one a standalone run of that cycle or
         # replication returns; TestNothingOutlivesItsRun checks none is kept
+        # the sink gives run k a held log and keeps it under k
         sc = default_scenario()
-        got = []
+        got = {}
         report = run_hybrid(
             dataclasses.replace(sc, cycles_max=2, tol=1e-12),
-            log_sink=lambda k, log: got.append((k, list(log))),
+            log_sink=lambda k: got.setdefault(k, EventLog()),
         )
-        ref = [
-            (rec.index, list(run_des(sc.des, rec.modifiers_in, sc.seed + rec.index, sc.horizon)[1]))
+        ref = {
+            rec.index: list(run_des(sc.des, rec.modifiers_in, sc.seed + rec.index, sc.horizon)[1])
             for rec in report.cycles
-        ]
-        assert [k for k, _ in got] == [0, 1] and got == ref
+        }
+        assert list(got) == [0, 1] and {k: list(log) for k, log in got.items()} == ref
 
         got.clear()
         run_des_replicated(
             sc.des, seed=sc.seed, horizon=30.0, replications=2,
-            log_sink=lambda k, log: got.append((k, list(log))),
+            log_sink=lambda k: got.setdefault(k, EventLog()),
         )
-        ref = [(i, list(run_des(sc.des, seed=sc.seed + i, horizon=30.0)[1])) for i in range(2)]
-        assert [k for k, _ in got] == [0, 1] and got == ref
+        ref = {i: list(run_des(sc.des, seed=sc.seed + i, horizon=30.0)[1]) for i in range(2)}
+        assert list(got) == [0, 1] and {k: list(log) for k, log in got.items()} == ref
 
     @pytest.mark.parametrize("command", ["des", "hybrid"])
     def test_cycle_with_empty_log_gets_no_file(self, tmp_path, command):
@@ -392,8 +403,8 @@ class TestLogSink:
         assert [p.name for p in written] == expected
 
 
-class _Log(list):
-    """An event log that can be weakly referenced."""
+class _Log(EventLog):
+    """A held event log that can be weakly referenced."""
 
 
 class TestNothingOutlivesItsRun:
@@ -404,17 +415,19 @@ class TestNothingOutlivesItsRun:
     @staticmethod
     def _watch(monkeypatch, sd_module=None):
         # wrap ``teamsim.des.run_des``, which every event-model run goes
-        # through, and ``sd_module.run_sd`` when given, so each log and
-        # trajectory is weakly referenced; each call first records which of
-        # the earlier ones are gone
+        # through, and ``sd_module.run_sd`` when given, so each log (a
+        # ``_Log`` from the test's sink) and trajectory is weakly referenced
+        # and each log's size noted; each call first records which of the
+        # earlier ones are gone
         refs = []
         starts = []
+        sizes = []
 
         def run_des(*args, real=teamsim.des.run_des, **kwargs):
             starts.append([r() is None for r in refs])
             stats, log = real(*args, **kwargs)
-            log = _Log(log)
             refs.append(weakref.ref(log))
+            sizes.append(len(log))
             return stats, log
 
         def run_sd(*args, real=getattr(sd_module, "run_sd", None), **kwargs):
@@ -426,16 +439,14 @@ class TestNothingOutlivesItsRun:
         monkeypatch.setattr(teamsim.des, "run_des", run_des)
         if sd_module is not None:
             monkeypatch.setattr(sd_module, "run_sd", run_sd)
-        return refs, starts
+        return refs, starts, sizes
 
     def test_hybrid_cycle_keeps_no_earlier_log_or_trajectory(self, monkeypatch):
         sc = copy.deepcopy(default_scenario())
         sc.horizon = 30.0
-        refs, starts = self._watch(monkeypatch, sd_module=teamsim.hybrid)
-        sizes = []
+        refs, starts, sizes = self._watch(monkeypatch, sd_module=teamsim.hybrid)
         report = run_hybrid(
-            dataclasses.replace(sc, cycles_max=3, tol=1e-12),
-            log_sink=lambda k, log: sizes.append(len(log)),
+            dataclasses.replace(sc, cycles_max=3, tol=1e-12), log_sink=lambda k: _Log()
         )
         assert report.n_cycles == 3 and all(sizes)
         # runs alternate: cycle k's event model, then its flow model
@@ -445,11 +456,9 @@ class TestNothingOutlivesItsRun:
 
     def test_replication_keeps_no_earlier_log(self, monkeypatch):
         sc = default_scenario()
-        refs, starts = self._watch(monkeypatch)
-        sizes = []
+        refs, starts, sizes = self._watch(monkeypatch)
         run_des_replicated(
-            sc.des, seed=sc.seed, horizon=30.0, replications=3,
-            log_sink=lambda k, log: sizes.append(len(log)),
+            sc.des, seed=sc.seed, horizon=30.0, replications=3, log_sink=lambda k: _Log()
         )
         assert len(sizes) == 3 and all(sizes)
         assert [len(s) for s in starts] == [0, 1, 2]
@@ -457,14 +466,78 @@ class TestNothingOutlivesItsRun:
         assert all(r() is None for r in refs)
 
 
+class TestStreamedLog:
+    """A sink's log streams to its file in batches at day boundaries."""
+
+    def test_streamed_and_held_logs_write_the_same_bytes(self, tmp_path):
+        sc = default_scenario()
+        sink = des_log_sink(tmp_path, 1)
+        _, streamed = run_des(sc.des, seed=sc.seed, horizon=1000.0, collect_log=sink(0))
+        _, held = run_des(sc.des, seed=sc.seed, horizon=1000.0)
+        write_event_log_ndjson(held, tmp_path / "held.ndjson")
+        text = sink.paths[0].read_bytes()
+        assert text == (tmp_path / "held.ndjson").read_bytes()
+        # len counts every record the run made, flushed ones too
+        assert len(streamed) == len(held) == text.count(b"\n") > 2 * LOG_BATCH
+
+    def test_iterating_a_streamed_log_raises(self):
+        sc = default_scenario()
+        _, log = run_des(sc.des, seed=sc.seed, horizon=30.0, collect_log=EventLog(lambda b: None))
+        assert len(log) > 0
+        with pytest.raises(TypeError, match="streamed"):
+            list(log)
+
+    def test_a_run_holds_at_most_a_batch_and_a_day(self):
+        # each batch the writer gets is all the run held when it flushed
+        sc = default_scenario()
+        batches = []
+        _, log = run_des(
+            sc.des, seed=sc.seed, horizon=1000.0, collect_log=EventLog(lambda b: batches.append(list(b)))
+        )
+        per_day = Counter(int(rec[0]) for batch in batches for rec in batch)
+        assert len(batches) > 2 and sum(map(len, batches)) == len(log)
+        assert max(map(len, batches)) < LOG_BATCH + max(per_day.values())
+
+    def test_a_run_that_raises_mid_stream_leaves_no_file_open(self, tmp_path, monkeypatch):
+        sc = default_scenario()
+        sink = des_log_sink(tmp_path, 1)
+        opened = []
+
+        def path_open(path, *args, real=Path.open, **kwargs):
+            f = real(path, *args, **kwargs)
+            opened.append(f)
+            return f
+
+        def sample_days(engine, t, real=DesEngine._sample_days):
+            real(engine, t)
+            if sink.paths:
+                raise StructuralError("injected after the first batch")
+
+        monkeypatch.setattr(Path, "open", path_open)
+        monkeypatch.setattr(DesEngine, "_sample_days", sample_days)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StructuralError, match="injected"):
+                run_des_replicated(sc.des, seed=sc.seed, horizon=400.0, log_sink=sink)
+            assert len(opened) == 1 and opened[0].closed
+            del opened[:]
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        # the partial log: the first batch, whole lines only
+        text = (tmp_path / "eventlog.ndjson").read_text()
+        assert sink.paths == [tmp_path / "eventlog.ndjson"]
+        assert text.endswith("\n") and text.count("\n") >= LOG_BATCH
+
+
 class TestHeldMemory:
     """What a held event log and a flow-model trajectory cost, by tracemalloc.
 
     A log keeps five list slots per record and the values they name (about
     68 bytes a record over 1000 default days; 109 with a tuple per record).
-    A trajectory keeps one ``array('d')`` of its 18 values per step and a
-    float time (about 176 bytes a step held and 329 while the columns are
-    cut; 680 and 844 with a row tuple per step and list columns).
+    A trajectory keeps its 18 values and its time per step in ``array('d')``
+    columns, 8 bytes each (about 153 bytes a step held and 305 while the
+    columns are cut; 176 and 329 with a list of float times, 680 and 844
+    with a row tuple per step and list columns).
     """
 
     def test_event_log_bytes_per_record(self, tmp_path):
@@ -497,7 +570,7 @@ class TestHeldMemory:
             tracemalloc.stop()
         n = len(traj)
         assert n == 4001
-        assert held / n < 200, f"{held / n:.1f} bytes a step held"
+        assert held / n < 160, f"{held / n:.1f} bytes a step held"
         assert peak / n < 400, f"{peak / n:.1f} bytes a step at the peak"
 
 

@@ -588,7 +588,7 @@ def test_float_kernel_matches_object_reference(state, params, dt):
         times.append(i * dt)
         states.append(s)
         auxes.append(a)
-    assert traj.times == times
+    assert _bits(traj.times) == _bits(times)
     assert traj.clamp_events == clamps
     for f in dataclasses.fields(SdState):
         assert _bits(traj.columns[f.name]) == _bits(getattr(x, f.name) for x in states)
