@@ -7,6 +7,10 @@ override scenario fields either way, and run-setting flags set them after
 the overrides.  The whole scenario is then checked once, by one rule for
 every source, before a command writes anything.  Exit codes: 0 success, 1
 bad configuration or data, 2 unreadable or missing input, 3 engine failure.
+
+Only ``fit`` and ``synth`` load the ticket reader, ``teamsim.io.tickets``,
+and with it ``logging`` and ``csv``; the run commands and ``validate``
+start without them.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from .des import run_des_replicated
+from .domain import SERVICE_TIME_SOURCES
 from .errors import ConfigurationError, DataError, TeamsimError
 from .hybrid import run_hybrid
 from .io.report import (
@@ -30,7 +35,6 @@ from .io.report import (
 )
 from .io.records import read_yaml
 from .io.scenario import load_scenario
-from .io.tickets import SERVICE_TIME_SOURCES, generate_synthetic, ingest_tickets, synth_spec_from_dict
 from .sd import run_sd
 
 
@@ -72,7 +76,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+# fit and synth import the ticket reader where they call it, so the run
+# commands never load it or the logging and csv modules it brings in
 def _cmd_fit(args) -> int:
+    from .io.tickets import ingest_tickets
+
     result = ingest_tickets(args.tickets, service_time_source=args.service_time_source)
     if args.out:
         paths = emit_fit_report(result, Path(args.out))
@@ -90,6 +98,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .io.tickets import generate_synthetic, synth_spec_from_dict
+
     doc = read_yaml(args.spec)
     if args.span is not None:
         doc["span_days"] = args.span
@@ -165,7 +175,8 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="teamsim", description=__doc__)
+    # the help shows the docstring but its last paragraph, a note for readers of this module
+    parser = _Parser(prog="teamsim", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit arrival rates from a ticket CSV")

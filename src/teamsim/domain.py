@@ -21,6 +21,12 @@ from .errors import ConfigurationError, StructuralError
 SKILL_LEVEL_MIN = 1
 SKILL_LEVEL_MAX = 3
 
+# where a ticket's service time is read: its hands-on ``touch`` hours or the
+# wall-clock ``elapsed`` time from opening to closing; defined here rather
+# than in the ticket reader so the command line lists the choices without
+# loading that reader
+SERVICE_TIME_SOURCES = ("touch", "elapsed")
+
 
 def _member_by_value(cls: type[Enum], label: str, what: str):
     try:

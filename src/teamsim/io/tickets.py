@@ -24,7 +24,7 @@ from ..des import (
     _priority_index,
     _sample_priority,
 )
-from ..domain import Priority, WorkType
+from ..domain import SERVICE_TIME_SOURCES, Priority, WorkType
 from ..errors import ConfigurationError, DataError
 from .records import read_record
 
@@ -40,8 +40,6 @@ TICKET_COLUMNS = (
 )
 
 _BAD_ROW_LIMIT = 0.10
-
-SERVICE_TIME_SOURCES = ("touch", "elapsed")
 
 
 @dataclass(frozen=True)

@@ -712,3 +712,12 @@ class TestSynthAndFit:
         res = run_cli("fit", str(out_csv), "--out", str(tmp_path / "fits"))
         assert res.returncode == 0
         assert (tmp_path / "fits" / "fits.json").exists()
+
+    def test_fit_warns_of_dropped_zero_gaps_on_stderr(self, tmp_path):
+        # the ticket reader loads only when fit runs; its warnings still reach
+        # stderr through logging's last-resort handler
+        p = tmp_path / "tickets.csv"
+        p.write_text(TOY_CSV + "2025-01-06T09:00:00,2025-01-06T12:00:00,incident,P1,team-core,1.0\n")
+        res = run_cli("fit", str(p))
+        assert res.returncode == 0
+        assert res.stderr == f"{p}: incident/P1: dropped 1 zero gaps\n"

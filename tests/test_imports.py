@@ -18,6 +18,7 @@ from teamsim import cli
 from teamsim.io.scenario import default_scenario, scenario_to_dict
 
 from test_cli import SYNTH_SPEC
+from test_io import TOY_CSV
 from test_scripts import _run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,6 +134,43 @@ def test_the_tracer_finds_every_name_it_wraps():
         capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_only_fit_loads_the_ticket_reader(tmp_path):
+    # one fresh interpreter (~0.1 s): the scenario loader and four run
+    # commands in-process leave the ticket reader and the logging and csv
+    # modules it brings in unloaded; a fit on a header-only file loads all
+    # three and still warns on stderr
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "sys.path[:0] = [sys.argv[1]]\n"
+        "import teamsim.cli as cli\n"
+        "from teamsim.io.scenario import load_scenario\n"
+        "out = Path(sys.argv[2])\n"
+        "load_scenario('default')\n"
+        "for argv in (\n"
+        "    ['validate', 'default'],\n"
+        "    ['des', 'default', '--horizon', '5'],\n"
+        "    ['sd', 'default', '--out', str(out / 'sd')],\n"
+        "    ['hybrid', 'default', '--cycles', '1', '--out', str(out / 'hybrid')],\n"
+        "):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "lazy = ('csv', 'logging', 'teamsim.io.tickets')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "assert cli.main(['fit', str(out / 'tickets.csv')]) == 0\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
+    (tmp_path / "tickets.csv").write_text(TOY_CSV.splitlines(keepends=True)[0])
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-3:] == [
+        "[]", "rows=0 ok=0 bad=0", "['csv', 'logging', 'teamsim.io.tickets']",
+    ]
+    assert res.stderr == f"{tmp_path / 'tickets.csv'}: no data rows\n"
 
 
 # Functions under src/ that no command reaches, each kept for a reason.

@@ -30,7 +30,7 @@ from teamsim.des import (
     run_des,
     run_des_replicated,
 )
-from teamsim.domain import Affinity, Engineer, SkillSpec, WorkType
+from teamsim.domain import SERVICE_TIME_SOURCES, Affinity, Engineer, SkillSpec, WorkType
 from teamsim.errors import ConfigurationError, DataError, StructuralError
 from teamsim.io.report import (
     des_log_sink,
@@ -135,7 +135,8 @@ class TestIngest:
     def test_unknown_source_rejected(self, tmp_path):
         p = tmp_path / "tickets.csv"
         p.write_text(TOY_CSV)
-        with pytest.raises(ConfigurationError):
+        message = f"service_time_source must be one of {SERVICE_TIME_SOURCES}, got 'guessed'"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             ingest_tickets(p, service_time_source="guessed")
 
     def test_bad_rows_collected_with_row_numbers(self, tmp_path):
